@@ -6,10 +6,11 @@ auxiliary comparison sequence (mod n) and its symbol sum (mod q). Either way
 the resulting code corrects any single symbol deletion or insertion.
 
 The package provides systematic encoders that place message bits at fixed
-positions, the matching extractors, correction by candidate search,
-exhaustive enumeration with size/rate bounds (vtcodes.analysis), a seeded
-channel simulator (vtcodes.channel), and a CLI (vtcodes.cli, installed as
-the `vtcodes` script).
+positions, the matching extractors, linear-time correction (Levenshtein's
+decoder for binary codes, Tenengolts' for q-ary ones), exhaustive
+enumeration with size/rate bounds (vtcodes.analysis), a seeded channel
+simulator (vtcodes.channel), and a CLI (vtcodes.cli, installed as the
+`vtcodes` script).
 """
 
 from .analysis import (

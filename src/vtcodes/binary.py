@@ -16,12 +16,11 @@ from typing import Iterable, Sequence
 
 from .errors import (
     MessageLengthError,
-    AmbiguousCorrectionError,
     NoCandidateError,
     NotACodewordError,
     ParameterError,
 )
-from .words import Word, check_bits, check_symbols, distinct_deletions, distinct_insertions
+from .words import Word, check_bits, check_int, check_symbols
 
 
 def syndrome(word: Iterable[int]) -> int:
@@ -51,10 +50,8 @@ class BinaryVtParams:
     a: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ParameterError(f"n must be an int, got {self.n!r}")
-        if not isinstance(self.a, int) or isinstance(self.a, bool):
-            raise ParameterError(f"a must be an int, got {self.a!r}")
+        for name in ("n", "a"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.n < 1:
             raise ParameterError(f"n must be at least 1, got {self.n}")
         if not 0 <= self.a <= self.n:
@@ -118,12 +115,68 @@ def _checksum(bits: Sequence[int], modulus: int) -> int:
     return total % modulus
 
 
+def _levenshtein_restore(received: Word, m: int, a: int) -> tuple[Word, int] | None:
+    """Levenshtein's decoder for the length-m code with checksum a mod (m + 1).
+
+    received has length m - 1 (one bit lost) or m + 1 (one bit gained). Let w
+    be its weight. A lost bit is put back as a 0 with the checksum deficit d
+    of ones to its right when d <= w, and otherwise as a 1 with d - w - 1
+    zeros to its left. A gained bit is the 0 with e ones to its right, where
+    e is the checksum excess (m + 1 when the excess is 0 and the word ends
+    in a 1), or else the 1 with e - w zeros to its left.
+
+    Returns the restored word and the 0-based index of the edit in the longer
+    of the two words; inside a run every index gives the same word, and the
+    leftmost is reported. A lost bit can always be put back; None means that
+    removing no single bit lands in the code. One pass, O(m).
+    """
+    weight = 0
+    total = 0
+    for i, bit in enumerate(received, start=1):
+        if bit:
+            weight += 1
+            total += i
+    if len(received) == m - 1:
+        deficit = (a - total) % (m + 1)
+        if deficit <= weight:
+            bit, need = 0, weight - deficit  # ones to its left
+        else:
+            bit, need = 1, deficit - weight - 1  # zeros to its left
+        index = seen = 0
+        for x in received:
+            if seen == need:
+                break
+            index += 1
+            if x != bit:
+                seen += 1
+        return received[:index] + (bit,) + received[index:], index
+    excess = (total - a) % (m + 1)
+    if excess == 0 and received[-1]:
+        excess = m + 1
+    if excess < weight or (excess == weight and not received[0]):
+        bit, need = 0, weight - excess  # ones to its left
+    else:
+        bit, need = 1, excess - weight  # zeros to its left
+    seen = 0
+    for index, x in enumerate(received):
+        if x == bit:
+            if seen == need:
+                return received[:index] + received[index + 1 :], index
+        else:
+            seen += 1
+            if seen > need:
+                break
+    return None
+
+
 def correct(received: Iterable[int], params: BinaryVtParams) -> Word:
     """Recover the codeword from a word that suffered at most one edit.
 
     A received length of n - 1 means a deletion, n + 1 an insertion, and n
-    must already be a codeword. Candidates one edit away are enumerated
-    without duplicates and filtered by membership; the match is unique.
+    must already be a codeword. Deletions and insertions are located in one
+    O(n) pass by Levenshtein's rule (see _levenshtein_restore), and the
+    result is checked against the code; the answer is unique because the
+    code corrects any single edit.
     """
     r = check_bits(received)
     n, a = params.n, params.a
@@ -132,25 +185,14 @@ def correct(received: Iterable[int], params: BinaryVtParams) -> Word:
         if _checksum(r, modulus) == a:
             return r
         raise NotACodewordError(f"word of length {n} is not in the code (a={a})")
-    if len(r) == n - 1:
-        candidates = distinct_insertions(r, 2)
-    elif len(r) == n + 1:
-        candidates = distinct_deletions(r)
-    else:
+    if len(r) not in (n - 1, n + 1):
         raise ParameterError(
             f"received length {len(r)} is not within one edit of n={n}"
         )
-    found = None
-    for cand in candidates:
-        if _checksum(cand, modulus) == a:
-            if found is not None:
-                raise AmbiguousCorrectionError(
-                    f"multiple codewords within one edit of the received word (n={n}, a={a})"
-                )
-            found = cand
-    if found is None:
+    restored = _levenshtein_restore(r, n, a)
+    if restored is None or _checksum(restored[0], modulus) != a:
         raise NoCandidateError(f"no codeword within one edit of the received word (n={n}, a={a})")
-    return found
+    return restored[0]
 
 
 def validate_syndrome_positions(n: int, positions: Iterable[int]) -> bool:

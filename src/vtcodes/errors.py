@@ -46,8 +46,9 @@ class NoCandidateError(CodecError):
 class AmbiguousCorrectionError(CodecError):
     """More than one codeword matched during correction.
 
-    Single-edit correction inside one of these codes has a unique answer, so
-    seeing this error means the code invariants were broken upstream.
+    Single-edit correction inside one of these codes has a unique answer, and
+    the library decoders locate it directly, so they never raise this. It is
+    kept for API compatibility and for the candidate-search test oracle.
     """
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .binary import syndrome
+from .binary import _levenshtein_restore, syndrome
 from .errors import (
-    AmbiguousCorrectionError,
+    CodecError,
     ExtractionError,
     MessageLengthError,
     NoCandidateError,
@@ -35,11 +35,10 @@ from .words import (
     Word,
     bits_to_int,
     check_bits,
+    check_int,
     check_symbols,
     check_word,
     digits_to_int,
-    distinct_deletions,
-    distinct_insertions,
     int_to_bits,
     int_to_digits,
 )
@@ -187,10 +186,9 @@ class QaryVtParams:
     b: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "q", "a", "b"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         _check_code_shape(self.n, self.q)
-        for name, value in (("a", self.a), ("b", self.b)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be an int, got {value!r}")
         if not 0 <= self.a < self.n:
             raise ParameterError(f"a must lie in 0..{self.n - 1}, got {self.a}")
         if not 0 <= self.b < self.q:
@@ -309,7 +307,8 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
         idx = bits_to_int(bits[used : used + table.single_bits])
         used += table.single_bits
         c[5] = table.single(idx)
-    assert used == len(bits)
+    if used != len(bits):
+        raise CodecError(f"message layout used {used} of {len(bits)} bits")
     return c
 
 
@@ -373,7 +372,8 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
         w = (b - sum(c[3:])) % q
         c[0], c[1], c[2] = arrange_prefix(step6_triple(w, q), aux[1], aux[2])
     word = tuple(c)
-    assert _matches_code(word, n, q, a, b)
+    if not _matches_code(word, n, q, a, b):
+        raise CodecError(f"encoder output misses the code (n={n}, q={q}, a={a}, b={b})")
     return word
 
 
@@ -434,15 +434,58 @@ def extract(word: Iterable[int], params: QaryVtParams) -> Word:
         if idx >> table.single_bits:
             raise ExtractionError("position 5 exceeds the message range")
         bits += int_to_bits(idx, table.single_bits)
-    assert len(bits) == params.k
+    if len(bits) != params.k:
+        raise CodecError(f"extracted {len(bits)} message bits, expected {params.k}")
     return tuple(bits)
+
+
+def _tenengolts_restore(r: Word, n: int, q: int, a: int, b: int) -> Word | None:
+    """Tenengolts' decoder: the word one deletion or insertion away from r
+    with auxiliary checksum a (mod n) and symbol sum b (mod q), or None.
+
+    The sum residue names the lost or gained symbol. A symbol edit is a
+    single bit edit of the auxiliary sequence, so Levenshtein's decoder
+    (length n - 1, modulus n) restores the codeword's auxiliary bits. The
+    symbol then goes in (or comes out) at an index j that keeps the received
+    auxiliary bits before j and after it, which bounds j by the longest
+    common prefix and suffix of the two auxiliary words; the bits on either
+    side of j are checked directly. O(n) in all.
+    """
+    deletion = len(r) == n - 1
+    total = sum(r)
+    symbol = (b - total) % q if deletion else (total - b) % q
+    aux = tuple(1 if y >= x else 0 for x, y in zip(r, r[1:]))
+    restored = _levenshtein_restore(aux, n - 1, a)
+    if restored is None:
+        return None
+    target, edit = restored
+    limit = min(len(aux), len(target))
+    prefix = edit  # bits before the edit are untouched
+    while prefix < limit and aux[prefix] == target[prefix]:
+        prefix += 1
+    suffix = limit - edit  # and so are the bits after it
+    while suffix < limit and aux[-1 - suffix] == target[-1 - suffix]:
+        suffix += 1
+    for j in range(limit - suffix, prefix + 2):
+        if deletion:
+            if j and (symbol >= r[j - 1]) != target[j - 1]:
+                continue
+            if j < n - 1 and (r[j] >= symbol) != target[j]:
+                continue
+            return r[:j] + (symbol,) + r[j:]
+        if r[j] == symbol and (j in (0, n) or (r[j + 1] >= r[j - 1]) == target[j - 1]):
+            return r[:j] + r[j + 1 :]
+    return None
 
 
 def correct(received: Iterable[int], params: QaryVtParams) -> Word:
     """Recover the codeword from a word that suffered at most one edit.
 
-    Candidates one edit away are enumerated without duplicates and filtered
-    by the two residues; the surviving candidate is unique.
+    A received length of n - 1 means a deletion, n + 1 an insertion, and n
+    must already be a codeword. Deletions and insertions are located in
+    O(n) by Tenengolts' decoder (see _tenengolts_restore), and the result is
+    checked against both residues; the answer is unique because the code
+    corrects any single edit.
     """
     r = check_word(received, params.q)
     n, q, a, b = params.n, params.q, params.a, params.b
@@ -450,22 +493,10 @@ def correct(received: Iterable[int], params: QaryVtParams) -> Word:
         if _matches_code(r, n, q, a, b):
             return r
         raise NotACodewordError(f"word of length {n} is not in the code (a={a}, b={b})")
-    if len(r) == n - 1:
-        candidates = distinct_insertions(r, q)
-    elif len(r) == n + 1:
-        candidates = distinct_deletions(r)
-    else:
+    if len(r) not in (n - 1, n + 1):
         raise ParameterError(f"received length {len(r)} is not within one edit of n={n}")
-    found = None
-    for cand in candidates:
-        if _matches_code(cand, n, q, a, b):
-            if found is not None:
-                raise AmbiguousCorrectionError(
-                    f"multiple codewords within one edit of the received word "
-                    f"(n={n}, q={q}, a={a}, b={b})"
-                )
-            found = cand
-    if found is None:
+    found = _tenengolts_restore(r, n, q, a, b)
+    if found is None or not _matches_code(found, n, q, a, b):
         raise NoCandidateError(
             f"no codeword within one edit of the received word (n={n}, q={q}, a={a}, b={b})"
         )

@@ -24,6 +24,17 @@ def _as_int(value) -> int:
         raise ParameterError(f"expected an integer, got {value!r}") from None
 
 
+def check_int(value, name: str) -> int:
+    """A code parameter as a plain int. numpy integers pass through
+    operator.index, as word symbols do; bool, float and str are refused."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an int, got {value!r}") from None
+
+
 def check_symbols(word: Iterable[int]) -> Word:
     """Validate a sequence of non-negative integer symbols (alphabet unknown)."""
     if isinstance(word, str):

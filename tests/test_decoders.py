@@ -1,0 +1,124 @@
+"""The linear-time decoders against the candidate-search oracle.
+
+Exhaustive and seeded comparisons check that `binary.correct` and
+`qary.correct` return the same word, or raise the same exception type, as
+the slow oracle in `oracle.py` on every received word of length n - 1 and
+n + 1. Property tests then check, at lengths the oracle cannot reach, that
+every deletion and insertion of an encoded codeword corrects.
+"""
+
+import itertools
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from oracle import correct_binary as oracle_binary, correct_q as oracle_q
+from vtcodes import binary, qary
+from vtcodes.binary import BinaryVtParams, _levenshtein_restore
+from vtcodes.qary import QaryVtParams, code_signature
+
+
+def outcome(correct, received, params):
+    try:
+        return correct(received, params)
+    except Exception as exc:  # the type is what gets compared
+        return type(exc)
+
+
+def agree(received, params):
+    if isinstance(params, BinaryVtParams):
+        fast, slow = binary.correct, oracle_binary
+    else:
+        fast, slow = qary.correct, oracle_q
+    assert outcome(fast, received, params) == outcome(slow, received, params), (received, params)
+
+
+def test_binary_matches_oracle_on_every_word_up_to_n10():
+    for n in range(1, 11):
+        for a in range(n + 1):
+            params = BinaryVtParams(n, a)
+            for length in (n - 1, n + 1):
+                for received in itertools.product((0, 1), repeat=length):
+                    agree(received, params)
+
+
+def test_qary_matches_oracle_on_every_word_at_small_shapes():
+    for n, q in [(6, 3), (7, 3)]:
+        for a in range(n):
+            for b in range(q):
+                params = QaryVtParams(n, q, a, b)
+                for length in (n - 1, n + 1):
+                    for received in itertools.product(range(q), repeat=length):
+                        agree(received, params)
+
+
+def test_qary_matches_oracle_on_seeded_random_words():
+    rng = random.Random(20240817)
+    for n, q in [(8, 4), (10, 3), (12, 5)]:
+        for _ in range(1500):
+            # half arbitrary words, half single edits of an arbitrary word
+            # checked against the code that word belongs to
+            word = tuple(rng.randrange(q) for _ in range(n))
+            i = rng.randrange(n + 1)
+            if rng.random() < 0.5:
+                params = QaryVtParams(n, q, *code_signature(word, q))
+                if rng.random() < 0.5:
+                    received = word[:i] + word[i + 1 :]
+                else:
+                    received = word[:i] + (rng.randrange(q),) + word[i:]
+            else:
+                params = QaryVtParams(n, q, rng.randrange(n), rng.randrange(q))
+                length = rng.choice((n - 1, n + 1))
+                received = tuple(rng.randrange(q) for _ in range(length))
+            agree(received, params)
+
+
+def edits(word, i, symbol):
+    """Deletions at 0, i and the end; insertions of symbol at 0, i and the end."""
+    n = len(word)
+    deletions = [word[:j] + word[j + 1 :] for j in {0, min(i, n - 1), n - 1}]
+    insertions = [word[:j] + (symbol,) + word[j:] for j in {0, i, n}]
+    return deletions, insertions
+
+
+def random_message(seed, k):
+    return tuple(random.Random(seed).getrandbits(1) for _ in range(k))
+
+
+@st.composite
+def binary_cases(draw):
+    n = draw(st.integers(1, 2048))
+    params = BinaryVtParams(n, draw(st.integers(0, n)))
+    word = binary.encode(random_message(draw(st.integers(0, 2**32)), params.k), params)
+    return params, word, draw(st.integers(0, n)), draw(st.integers(0, 1))
+
+
+@st.composite
+def qary_cases(draw):
+    n = draw(st.integers(7, 2048).filter(lambda n: (n - 1) & (n - 2)))
+    q = draw(st.integers(3, 16))
+    params = QaryVtParams(n, q, draw(st.integers(0, n - 1)), draw(st.integers(0, q - 1)))
+    word = qary.encode(random_message(draw(st.integers(0, 2**32)), params.k), params)
+    return params, word, draw(st.integers(0, n)), draw(st.integers(0, q - 1))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(binary_cases())
+def test_binary_corrects_every_edit_position(case):
+    params, word, i, symbol = case
+    deletions, insertions = edits(word, i, symbol)
+    for received in deletions + insertions:
+        assert binary.correct(received, params) == word
+        restored, index = _levenshtein_restore(received, params.n, params.a)
+        longer, shorter = (word, received) if len(received) < len(word) else (received, word)
+        assert restored == word
+        assert longer[:index] + longer[index + 1 :] == shorter
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(qary_cases())
+def test_qary_corrects_every_edit_position(case):
+    params, word, i, symbol = case
+    deletions, insertions = edits(word, i, symbol)
+    for received in deletions + insertions:
+        assert qary.correct(received, params) == word
