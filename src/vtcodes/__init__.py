@@ -56,19 +56,14 @@ from .errors import (
 from .qary import (
     PairTable,
     QaryVtParams,
-    arrange_prefix,
     aux_sequence,
-    canonical_pair,
-    canonical_pair_index,
     code_signature,
     correct as correct_q,
     encode as encode_q,
     extract as extract_q,
     is_member as is_member_q,
     message_length,
-    mod_sum,
     pair_table,
-    step6_triple,
 )
 
 __version__ = "0.1.0"
@@ -94,14 +89,11 @@ __all__ = [
     "UnsupportedParametersError",
     "VtCodeError",
     "apply_channel",
-    "arrange_prefix",
     "aux_sequence",
     "binary_census",
     "binary_codewords",
     "binary_size_bounds",
     "binary_size_within_bounds",
-    "canonical_pair",
-    "canonical_pair_index",
     "census_csv",
     "census_report",
     "census_rows",
@@ -117,14 +109,12 @@ __all__ = [
     "is_member",
     "is_member_q",
     "message_length",
-    "mod_sum",
     "pair_table",
     "qary_census",
     "qary_size_lower_bound",
     "rate_bounds",
     "run_trials",
     "single_deletion_size_bound",
-    "step6_triple",
     "syndrome",
     "validate_syndrome_positions",
     "__version__",

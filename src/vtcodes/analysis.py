@@ -19,8 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LimitExceededError, ParameterError, UnsupportedParametersError
-from .qary import _check_code_shape, message_length
+from .binary import BinaryVtParams
+from .errors import LimitExceededError, ParameterError
+from .qary import _code_shape, message_length
+from .words import check_int
 
 BINARY_LENGTH_LIMIT = 20
 QARY_WORD_LIMIT = 1 << 24
@@ -29,32 +31,37 @@ _CHUNK = 1 << 16
 CSV_COLUMNS = ("q", "n", "a", "b", "count", "size_lower", "size_upper")
 
 
-def _check_int(name: str, value, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ParameterError(f"{name} must be an int >= {minimum}, got {value!r}")
-    return value
-
-
-@lru_cache(maxsize=None)
-def _binary_census(n: int) -> tuple[int, ...]:
-    counts = np.zeros(n + 1, dtype=np.int64)
+def _binary_checksums(n: int):
+    """Every length-n binary word, in integer order (bit i - 1 of the integer
+    is position i), as chunks of (integers, checksums mod n + 1)."""
     total = 1 << n
     for start in range(0, total, _CHUNK):
         x = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         syn = np.zeros(x.shape, dtype=np.int64)
         for i in range(1, n + 1):
             syn += i * ((x >> (i - 1)) & 1)
-        counts += np.bincount(syn % (n + 1), minlength=n + 1)
+        yield x, syn % (n + 1)
+
+
+def _check_binary_length(n: int, limit: int) -> int:
+    n = check_int(n, "n", 1)
+    if n > limit:
+        raise LimitExceededError(f"length {n} exceeds the enumeration limit {limit}")
+    return n
+
+
+@lru_cache(maxsize=None)
+def _binary_census(n: int) -> tuple[int, ...]:
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for _, syn in _binary_checksums(n):
+        counts += np.bincount(syn, minlength=n + 1)
     return tuple(int(c) for c in counts)
 
 
 def binary_census(n: int, limit: int = BINARY_LENGTH_LIMIT) -> tuple[int, ...]:
     """Exact code sizes for every residue a at length n: entry a holds
     |{words of length n with checksum a}|."""
-    _check_int("n", n, 1)
-    if n > limit:
-        raise LimitExceededError(f"length {n} exceeds the enumeration limit {limit}")
-    return _binary_census(n)
+    return _binary_census(_check_binary_length(n, limit))
 
 
 def enumerate_binary(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> int:
@@ -68,19 +75,12 @@ def enumerate_binary(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> int:
 def binary_codewords(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> list[tuple[int, ...]]:
     """Every codeword of the binary code with residue a, in integer order
     (bit i of the integer is position i + 1)."""
-    _check_int("n", n, 1)
-    if n > limit:
-        raise LimitExceededError(f"length {n} exceeds the enumeration limit {limit}")
+    n = _check_binary_length(n, limit)
     if not 0 <= a <= n:
         raise ParameterError(f"a must lie in 0..{n}, got {a}")
     out = []
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        x = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        syn = np.zeros(x.shape, dtype=np.int64)
-        for i in range(1, n + 1):
-            syn += i * ((x >> (i - 1)) & 1)
-        for v in x[syn % (n + 1) == a]:
+    for x, syn in _binary_checksums(n):
+        for v in x[syn == a]:
             v = int(v)
             out.append(tuple((v >> i) & 1 for i in range(n)))
     return out
@@ -111,8 +111,8 @@ def qary_census(n: int, q: int, limit: int = QARY_WORD_LIMIT) -> tuple[tuple[int
     Works from the raw code definition, so lengths the encoder rejects
     (n < 6, n = 2**m + 1) are still countable.
     """
-    _check_int("n", n, 2)
-    _check_int("q", q, 3)
+    n = check_int(n, "n", 2)
+    q = check_int(q, "q", 3)
     if q**n > limit:
         raise LimitExceededError(f"{q}**{n} words exceed the enumeration limit {limit}")
     return _qary_census(n, q)
@@ -135,8 +135,7 @@ def qary_size_lower_bound(n: int, q: int) -> int:
     encoder's message slots: (q-1)^(2t-5) * q^(n-3t+3) for q >= 4, and
     2^(2(t-3)) * 3^(n-3t+3) for q = 3, with t = ceil(log2 n).
     """
-    _check_code_shape(n, q)
-    t = (n - 1).bit_length()
+    n, q, t = _code_shape(n, q)
     free = n - 3 * t + 3
     if q == 3:
         return (1 << (2 * (t - 3))) * 3**free
@@ -146,15 +145,15 @@ def qary_size_lower_bound(n: int, q: int) -> int:
 def single_deletion_size_bound(n: int, q: int) -> Fraction:
     """Upper bound (q^n - q) / ((q-1)(n-1)) on the size of any q-ary code of
     length n that corrects one deletion, as an exact rational."""
-    _check_int("n", n, 2)
-    _check_int("q", q, 2)
+    n = check_int(n, "n", 2)
+    q = check_int(q, "q", 2)
     return Fraction(q**n - q, (q - 1) * (n - 1))
 
 
 def binary_size_bounds(n: int) -> tuple[float, float]:
     """Size window 2^n/(n+1) -/+ 2^((n+1)/3) that every binary code of
     length n falls in."""
-    _check_int("n", n, 1)
+    n = check_int(n, "n", 1)
     center = (1 << n) / (n + 1)
     slack = 2.0 ** ((n + 1) / 3)
     return (center - slack, center + slack)
@@ -166,7 +165,7 @@ def binary_size_within_bounds(n: int, count: int) -> bool:
     Cubing |2^n/(n+1) - count| <= 2^((n+1)/3) removes the irrational slack:
     the comparison becomes |..|^3 <= 2^(n+1) over rationals.
     """
-    _check_int("n", n, 1)
+    n = check_int(n, "n", 1)
     gap = Fraction(1 << n, n + 1) - count
     return abs(gap) ** 3 <= (1 << (n + 1))
 
@@ -210,9 +209,9 @@ def rate_bounds(n: int, q: int) -> RateReport:
     lower bound over n. encoder_rate_floor is the closed-form floor
     log2(3) - 2.76*t/n - 2.25/n, defined for q = 3 only.
     """
+    n, q, t = _code_shape(n, q)
     k = message_length(n, q)
     lg = math.log2
-    t = (n - 1).bit_length()
     floor = lg(3) - 2.76 * t / n - 2.25 / n if q == 3 else None
     return RateReport(
         n=n,
@@ -224,6 +223,18 @@ def rate_bounds(n: int, q: int) -> RateReport:
         construction_rate=lg(qary_size_lower_bound(n, q)) / n,
         encoder_rate_floor=floor,
     )
+
+
+def binary_rates(n: int) -> dict:
+    """Report fields for the binary encoder at length n: message bits k,
+    encoder_rate k/n, and smallest_code_rate_bound 1 - log2(n + 1)/n, the
+    pigeonhole bound on the smallest of the n + 1 codes."""
+    k = BinaryVtParams(n, 0).k
+    return {
+        "k": k,
+        "encoder_rate": round(k / n, 6),
+        "smallest_code_rate_bound": round(1 - math.log2(n + 1) / n, 6),
+    }
 
 
 @dataclass(frozen=True)
@@ -247,7 +258,8 @@ def census_rows(n: int, q: int = 2, limit: int | None = None) -> list[CodeCensus
     q >= 3 gives one row per (a, b) with the constructive lower bound (when
     the shape supports it) and the single-deletion upper bound.
     """
-    _check_int("q", q, 2)
+    n = check_int(n, "n")
+    q = check_int(q, "q", 2)
     if q == 2:
         counts = binary_census(n) if limit is None else binary_census(n, limit)
         lo, hi = binary_size_bounds(n)
@@ -288,6 +300,53 @@ def census_csv(rows: list[CodeCensus]) -> str:
     return buf.getvalue()
 
 
+def select_rows(
+    rows: list[CodeCensus], a: int | None = None, b: int | None = None
+) -> list[CodeCensus]:
+    """Narrow the census_rows of one (n, q) shape to one checksum residue a
+    and/or one sum residue b; a residue outside the shape is refused."""
+    n, q = rows[0].n, rows[0].q
+    if a is not None:
+        rows = [r for r in rows if r.a == a]
+        if not rows:
+            raise ParameterError(f"a={a} is out of range for n={n}")
+    if b is not None:
+        if q == 2:
+            raise ParameterError("b applies to alphabets with q >= 3 only")
+        rows = [r for r in rows if r.b == b]
+        if not rows:
+            raise ParameterError(f"b={b} is out of range for q={q}")
+    return rows
+
+
+def rows_report(rows: list[CodeCensus]) -> dict:
+    """JSON-ready report of census rows from one (n, q) shape: parameters,
+    counts, bounds, rates. Bounds and rates describe the whole shape."""
+    def as_number(value):
+        if isinstance(value, float):
+            return round(value, 6)
+        return value
+
+    first = rows[0]
+    n, q = first.n, first.q
+    if q == 2:
+        rates = binary_rates(n)
+    else:
+        try:
+            rates = rate_bounds(n, q).to_dict()
+        except ParameterError:
+            rates = None
+    return {
+        "parameters": {"q": q, "n": n},
+        "counts": [{"a": r.a, "b": r.b, "count": r.count} for r in rows],
+        "bounds": {
+            "size_lower": as_number(first.size_lower),
+            "size_upper": as_number(first.size_upper),
+        },
+        "rates": rates,
+    }
+
+
 def census_report(
     n: int,
     q: int = 2,
@@ -300,41 +359,4 @@ def census_report(
     Optional a/b filters narrow the counts list; bounds and rates always
     describe the whole (n, q) shape.
     """
-    rows = census_rows(n, q, limit)
-    if a is not None:
-        rows = [r for r in rows if r.a == a]
-        if not rows:
-            raise ParameterError(f"a={a} is out of range for n={n}")
-    if b is not None:
-        if q == 2:
-            raise ParameterError("b applies to alphabets with q >= 3 only")
-        rows = [r for r in rows if r.b == b]
-        if not rows:
-            raise ParameterError(f"b={b} is out of range for q={q}")
-    def as_number(value):
-        if isinstance(value, float):
-            return round(value, 6)
-        return value
-
-    first = rows[0] if rows else None
-    if q == 2:
-        k = n - n.bit_length()
-        rates = {
-            "k": k,
-            "encoder_rate": round(k / n, 6),
-            "smallest_code_rate_bound": round(1 - math.log2(n + 1) / n, 6),
-        }
-    else:
-        try:
-            rates = rate_bounds(n, q).to_dict()
-        except ParameterError:
-            rates = None
-    return {
-        "parameters": {"q": q, "n": n},
-        "counts": [{"a": r.a, "b": r.b, "count": r.count} for r in rows],
-        "bounds": {
-            "size_lower": None if first is None else as_number(first.size_lower),
-            "size_upper": None if first is None else as_number(first.size_upper),
-        },
-        "rates": rates,
-    }
+    return rows_report(select_rows(census_rows(n, q, limit), a, b))

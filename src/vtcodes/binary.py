@@ -23,23 +23,20 @@ from .errors import (
 from .words import Word, check_bits, check_int, check_symbols
 
 
+def _checksum(bits: Sequence[int], modulus: int) -> int:
+    total = 0
+    for i, b in enumerate(bits, start=1):
+        if b:
+            total += i
+    return total % modulus
+
+
 def syndrome(word: Iterable[int]) -> int:
     """Weighted checksum sum(i * s_i) mod (n + 1) of a non-empty binary word."""
     bits = check_bits(word)
     if not bits:
         raise ParameterError("word must be non-empty")
-    n = len(bits)
-    return sum(i * b for i, b in enumerate(bits, start=1)) % (n + 1)
-
-
-def is_member(word: Iterable[int], a: int) -> bool:
-    """True when the word's checksum equals a (taken mod length + 1)."""
-    bits = check_bits(word)
-    if not bits:
-        raise ParameterError("word must be non-empty")
-    if not 0 <= a <= len(bits):
-        raise ParameterError(f"residue must lie in 0..{len(bits)}, got {a}")
-    return syndrome(bits) == a
+    return _checksum(bits, len(bits) + 1)
 
 
 @dataclass(frozen=True)
@@ -56,6 +53,11 @@ class BinaryVtParams:
             raise ParameterError(f"n must be at least 1, got {self.n}")
         if not 0 <= self.a <= self.n:
             raise ParameterError(f"a must lie in 0..{self.n}, got {self.a}")
+
+    @property
+    def q(self) -> int:
+        """Alphabet size, always 2."""
+        return 2
 
     @property
     def t(self) -> int:
@@ -77,6 +79,29 @@ class BinaryVtParams:
         dyadic = set(self.dyadic_positions)
         return tuple(p for p in range(1, self.n + 1) if p not in dyadic)[: self.k]
 
+    def encode(self, message: Iterable[int]) -> Word:
+        return encode(message, self)
+
+    def extract(self, word: Iterable[int]) -> Word:
+        return extract(word, self)
+
+    def correct(self, received: Iterable[int]) -> Word:
+        return correct(received, self)
+
+    def is_member(self, word: Iterable[int]) -> bool:
+        return is_member(word, self)
+
+    def to_dict(self) -> dict:
+        return {"q": 2, "n": self.n, "a": self.a}
+
+
+def is_member(word: Iterable[int], params: BinaryVtParams) -> bool:
+    """True when a word of the code's length has the code's checksum."""
+    bits = check_bits(word)
+    if len(bits) != params.n:
+        raise ParameterError(f"expected a word of length {params.n}, got {len(bits)}")
+    return _checksum(bits, params.n + 1) == params.a
+
 
 def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
     """Systematically encode k message bits into a codeword of the code.
@@ -93,26 +118,20 @@ def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
     word = [0] * params.n
     for pos, bit in zip(params.message_positions, bits):
         word[pos - 1] = bit
-    deficit = (params.a - syndrome(word)) % (params.n + 1)
+    deficit = (params.a - _checksum(word, params.n + 1)) % (params.n + 1)
     for j, pos in enumerate(params.dyadic_positions):
         word[pos - 1] = (deficit >> j) & 1
     return tuple(word)
 
 
 def extract(word: Iterable[int], params: BinaryVtParams) -> Word:
-    """Read the message bits back out of a codeword (purely positional)."""
+    """Read the message bits back out of a codeword."""
     bits = check_bits(word)
     if len(bits) != params.n:
         raise ParameterError(f"expected a word of length {params.n}, got {len(bits)}")
+    if _checksum(bits, params.n + 1) != params.a:
+        raise NotACodewordError(f"word is not in the code (a={params.a})")
     return tuple(bits[pos - 1] for pos in params.message_positions)
-
-
-def _checksum(bits: Sequence[int], modulus: int) -> int:
-    total = 0
-    for i, b in enumerate(bits, start=1):
-        if b:
-            total += i
-    return total % modulus
 
 
 def _levenshtein_restore(received: Word, m: int, a: int) -> tuple[Word, int] | None:

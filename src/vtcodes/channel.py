@@ -14,11 +14,10 @@ from typing import Union
 
 import numpy as np
 
-from . import binary, qary
 from .binary import BinaryVtParams
 from .errors import ParameterError, UnsupportedParametersError, VtCodeError
 from .qary import QaryVtParams
-from .words import Word, check_symbols, format_bitstring
+from .words import Word, check_int, check_symbols, format_bitstring
 
 EVENT_KINDS = ("deletion", "insertion", "identity")
 CHANNEL_KINDS = ("deletion", "insertion", "mixed", "identity")
@@ -42,14 +41,12 @@ class ChannelEvent:
             if self.position is not None or self.symbol is not None:
                 raise ParameterError("identity events carry no position or symbol")
             return
-        if not isinstance(self.position, int) or isinstance(self.position, bool) or self.position < 0:
-            raise ParameterError(f"position must be a non-negative int, got {self.position!r}")
+        object.__setattr__(self, "position", check_int(self.position, "position", 0))
         if self.kind == "deletion":
             if self.symbol is not None:
                 raise ParameterError("deletion events carry no symbol")
         else:
-            if not isinstance(self.symbol, int) or isinstance(self.symbol, bool) or self.symbol < 0:
-                raise ParameterError(f"insertion symbol must be a non-negative int, got {self.symbol!r}")
+            object.__setattr__(self, "symbol", check_int(self.symbol, "insertion symbol", 0))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "position": self.position, "symbol": self.symbol}
@@ -108,30 +105,17 @@ class TrialReport:
     def rate(self) -> float:
         return self.successes / self.trials
 
-    def params_dict(self) -> dict:
-        if isinstance(self.params, QaryVtParams):
-            return {"q": self.params.q, "n": self.params.n, "a": self.params.a, "b": self.params.b}
-        return {"q": 2, "n": self.params.n, "a": self.params.a}
-
     def to_dict(self) -> dict:
         return {
             "trials": self.trials,
             "successes": self.successes,
             "rate": self.rate,
-            "params": self.params_dict(),
+            "params": self.params.to_dict(),
             "channel": self.channel,
             "seed": self.seed,
             "wall_time_s": self.wall_time,
             "failures": [f.to_dict() for f in self.failure_cases],
         }
-
-
-def _codec_for(params: CodeParams):
-    if isinstance(params, QaryVtParams):
-        return qary.encode, qary.correct, qary.extract, params.q
-    if isinstance(params, BinaryVtParams):
-        return binary.encode, binary.correct, binary.extract, 2
-    raise ParameterError(f"unsupported params object: {params!r}")
 
 
 def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) -> TrialReport:
@@ -144,16 +128,17 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
     """
     if channel_kind not in CHANNEL_KINDS:
         raise ParameterError(f"channel must be one of {CHANNEL_KINDS}, got {channel_kind!r}")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ParameterError(f"trials must be a positive int, got {trials!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ParameterError(f"seed must be a non-negative int, got {seed!r}")
-    encode, correct, extract, q = _codec_for(params)
-    if isinstance(params, QaryVtParams) and params.k == 0:
-        raise UnsupportedParametersError(
-            f"(n={params.n}, q={params.q}) carries no message bits to simulate"
-        )
-    n, k = params.n, params.k
+    trials = check_int(trials, "trials", 1)
+    seed = check_int(seed, "seed", 0)
+    try:
+        encode, correct, extract = params.encode, params.correct, params.extract
+        n, q, k = params.n, params.q, params.k
+    except AttributeError:
+        raise ParameterError(f"unsupported params object: {params!r}") from None
+    # Binary codes with n <= 2 carry the empty message and still run; the
+    # q-ary encoder refuses k = 0, so every trial would fail the same way.
+    if q > 2 and k == 0:
+        raise UnsupportedParametersError(f"(n={n}, q={q}) carries no message bits to simulate")
     start = time.perf_counter()
     successes = 0
     failures: list[TrialFailure] = []
@@ -174,8 +159,8 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
         else:
             event = ChannelEvent("identity")
         try:
-            received = apply_channel(encode(message, params), event)
-            decoded = extract(correct(received, params), params)
+            received = apply_channel(encode(message), event)
+            decoded = extract(correct(received))
         except VtCodeError as exc:
             failures.append(TrialFailure(i, message, event, f"{type(exc).__name__}: {exc}"))
             continue

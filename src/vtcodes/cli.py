@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from . import analysis, binary, channel, qary
+from . import analysis, binary, channel
 from .binary import BinaryVtParams
 from .errors import CodecError, ParameterError
 from .qary import QaryVtParams, pair_table
@@ -38,70 +37,41 @@ def _make_params(args) -> BinaryVtParams | QaryVtParams:
 
 
 def _cmd_encode(args):
-    params = _make_params(args)
-    message = parse_bitstring(args.message)
-    if isinstance(params, BinaryVtParams):
-        word = binary.encode(message, params)
-    else:
-        word = qary.encode(message, params)
+    word = _make_params(args).encode(parse_bitstring(args.message))
     return format_symbols(word), {"codeword": list(word)}
 
 
 def _cmd_extract(args):
-    params = _make_params(args)
-    word = parse_symbols(args.word)
-    if isinstance(params, BinaryVtParams):
-        message = binary.extract(word, params)
-    else:
-        message = qary.extract(word, params)
-    text = format_bitstring(message)
+    text = format_bitstring(_make_params(args).extract(parse_symbols(args.word)))
     return text, {"message": text}
 
 
 def _cmd_correct(args):
     params = _make_params(args)
     received = parse_symbols(args.word)
-    if isinstance(params, BinaryVtParams):
-        word = binary.correct(received, params)
-    else:
-        word = qary.correct(received, params)
+    word = params.correct(received)
     edit = {-1: "deletion", 0: "none", 1: "insertion"}[len(received) - params.n]
     return format_symbols(word), {"codeword": list(word), "edit": edit}
 
 
 def _cmd_member(args):
-    params = _make_params(args)
-    word = parse_symbols(args.word)
-    if isinstance(params, BinaryVtParams):
-        if len(word) != params.n:
-            raise ParameterError(f"expected a word of length {params.n}, got {len(word)}")
-        ok = binary.is_member(word, params.a)
-    else:
-        ok = qary.is_member(word, params)
+    ok = _make_params(args).is_member(parse_symbols(args.word))
     return ("true" if ok else "false"), {"member": ok}
 
 
 def _cmd_enumerate(args):
-    report = analysis.census_report(args.n, args.q, limit=args.limit, a=args.a, b=args.b)
-    rows = analysis.census_rows(args.n, args.q, args.limit)
-    if args.a is not None:
-        rows = [r for r in rows if r.a == args.a]
-    if args.b is not None:
-        rows = [r for r in rows if r.b == args.b]
-    return analysis.census_csv(rows), report
+    rows = analysis.select_rows(analysis.census_rows(args.n, args.q, args.limit), args.a, args.b)
+    return analysis.census_csv(rows), analysis.rows_report(rows)
 
 
 def _cmd_bounds(args):
     n, q = args.n, args.q
     if q == 2:
-        k = n - n.bit_length()
         lo, hi = analysis.binary_size_bounds(n)
         payload = {
             "q": 2,
             "n": n,
-            "k": k,
-            "encoder_rate": round(k / n, 6),
-            "smallest_code_rate_bound": round(1 - math.log2(n + 1) / n, 6),
+            **analysis.binary_rates(n),
             "size_lower": round(lo, 6),
             "size_upper": round(hi, 6),
         }

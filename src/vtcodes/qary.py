@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .binary import _levenshtein_restore, syndrome
+from .binary import _checksum, _levenshtein_restore, syndrome
 from .errors import (
     CodecError,
     ExtractionError,
@@ -74,16 +74,17 @@ def _ilog2(x: int) -> int:
     return x.bit_length() - 1
 
 
-def _check_code_shape(n: int, q: int) -> None:
-    if not isinstance(q, int) or isinstance(q, bool) or q < 3:
-        raise ParameterError(f"alphabet size must be an int >= 3, got {q!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 6:
-        raise ParameterError(f"code length must be an int >= 6, got {n!r}")
+def _code_shape(n: int, q: int) -> tuple[int, int, int]:
+    """(n, q, t) as plain ints, where t = ceil(log2 n) counts the reserved
+    powers of two; raises unless the encoder's layout supports the shape."""
+    q = check_int(q, "alphabet size", 3)
+    n = check_int(n, "code length", 6)
     if (n - 1) & (n - 2) == 0:
         raise UnsupportedLengthError(
             f"length {n} is unsupported: the reserved-position layout needs "
             f"position {n}, one past the end"
         )
+    return n, q, (n - 1).bit_length()
 
 
 def message_length(n: int, q: int) -> int:
@@ -93,8 +94,7 @@ def message_length(n: int, q: int) -> int:
     power of two above 4, and (for q >= 4) the lone constrained symbol next
     to position 4. May be 0 for the smallest shapes, e.g. (n=6, q=3).
     """
-    _check_code_shape(n, q)
-    t = (n - 1).bit_length()
+    n, q, t = _code_shape(n, q)
     free = n - 3 * t + 3
     if q == 3:
         return _ilog2(3**free) + 2 * (t - 3)
@@ -113,9 +113,7 @@ class PairTable:
     """
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or isinstance(q, bool) or q < 3:
-            raise ParameterError(f"alphabet size must be an int >= 3, got {q!r}")
-        self.q = q
+        self.q = q = check_int(q, "alphabet size", 3)
         self.pairs: tuple[tuple[int, int], ...] = tuple(
             (left, right)
             for left in range(1, q)
@@ -159,7 +157,8 @@ class PairTable:
             raise ParameterError(f"{value!r} is not a valid position-5 value for q={self.q}") from None
 
 
-@lru_cache(maxsize=None)
+# typed: once pair_table(np.int64(3)) is cached, pair_table(3.0) would hit it.
+@lru_cache(maxsize=None, typed=True)
 def pair_table(q: int) -> PairTable:
     return PairTable(q)
 
@@ -188,7 +187,7 @@ class QaryVtParams:
     def __post_init__(self) -> None:
         for name in ("n", "q", "a", "b"):
             object.__setattr__(self, name, check_int(getattr(self, name), name))
-        _check_code_shape(self.n, self.q)
+        _code_shape(self.n, self.q)
         if not 0 <= self.a < self.n:
             raise ParameterError(f"a must lie in 0..{self.n - 1}, got {self.a}")
         if not 0 <= self.b < self.q:
@@ -222,6 +221,21 @@ class QaryVtParams:
             reserved.add(right)
         return tuple(p for p in range(1, self.n) if p not in reserved)
 
+    def encode(self, message: Iterable[int]) -> Word:
+        return encode(message, self)
+
+    def extract(self, word: Iterable[int]) -> Word:
+        return extract(word, self)
+
+    def correct(self, received: Iterable[int]) -> Word:
+        return correct(received, self)
+
+    def is_member(self, word: Iterable[int]) -> bool:
+        return is_member(word, self)
+
+    def to_dict(self) -> dict:
+        return {"q": self.q, "n": self.n, "a": self.a, "b": self.b}
+
 
 def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
     """Membership test for an already validated word of length n."""
@@ -251,9 +265,9 @@ def step6_triple(w: int, q: int) -> tuple[int, int, int]:
     The defaults 0, 1, w-1 collide when w is 1 or 2, so those two cases swap
     in the top symbol q - 1 instead.
     """
-    if not isinstance(q, int) or isinstance(q, bool) or q < 4:
-        raise ParameterError(f"alphabet size must be an int >= 4, got {q!r}")
-    if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < q:
+    q = check_int(q, "alphabet size", 4)
+    w = check_int(w, "target residue")
+    if not 0 <= w < q:
         raise ParameterError(f"target residue must lie in 0..{q - 1}, got {w!r}")
     if w == 1:
         return (0, 2, q - 1)
@@ -361,7 +375,7 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
     positions are already set, landing it on the target residues."""
     n, q, a, b = params.n, params.q, params.a, params.b
     aux = _prefill_aux(c, params)
-    deficit = (a - syndrome(aux[1:])) % n
+    deficit = (a - _checksum(aux[1:], n)) % n
     for j, pos in enumerate(params.dyadic_positions):
         aux[pos] = (deficit >> j) & 1
     for pos in params.dyadic_positions[2:]:

@@ -24,15 +24,18 @@ def _as_int(value) -> int:
         raise ParameterError(f"expected an integer, got {value!r}") from None
 
 
-def check_int(value, name: str) -> int:
-    """A code parameter as a plain int. numpy integers pass through
-    operator.index, as word symbols do; bool, float and str are refused."""
-    if isinstance(value, bool):
-        raise ParameterError(f"{name} must be an int, got {value!r}")
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """An integer argument as a plain int, at least `minimum` when one is
+    given. numpy integers pass through operator.index, as word symbols do;
+    bool, float and str are refused."""
     try:
-        return operator.index(value)
+        out = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise ParameterError(f"{name} must be an int, got {value!r}") from None
+        out = None
+    if out is None or (minimum is not None and out < minimum):
+        kind = "an int" if minimum is None else f"an int >= {minimum}"
+        raise ParameterError(f"{name} must be {kind}, got {value!r}")
+    return out
 
 
 def check_symbols(word: Iterable[int]) -> Word:
@@ -94,9 +97,7 @@ def bits_to_int(bits: Iterable[int]) -> int:
 
 def int_to_bits(value: int, width: int) -> Word:
     value = _as_int(value)
-    width = _as_int(width)
-    if width < 0:
-        raise ParameterError(f"width must be non-negative, got {width}")
+    width = check_int(width, "width", 0)
     if value < 0 or value >> width:
         raise ParameterError(f"{value} does not fit in {width} bits")
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
@@ -104,9 +105,7 @@ def int_to_bits(value: int, width: int) -> Word:
 
 def digits_to_int(digits: Iterable[int], base: int) -> int:
     """Big-endian base conversion; the first digit is the most significant."""
-    base = _as_int(base)
-    if base < 2:
-        raise ParameterError(f"base must be at least 2, got {base}")
+    base = check_int(base, "base", 2)
     value = 0
     for d in check_word(digits, base):
         value = value * base + d
@@ -115,12 +114,8 @@ def digits_to_int(digits: Iterable[int], base: int) -> int:
 
 def int_to_digits(value: int, base: int, width: int) -> Word:
     value = _as_int(value)
-    base = _as_int(base)
-    width = _as_int(width)
-    if base < 2:
-        raise ParameterError(f"base must be at least 2, got {base}")
-    if width < 0:
-        raise ParameterError(f"width must be non-negative, got {width}")
+    base = check_int(base, "base", 2)
+    width = check_int(width, "width", 0)
     if value < 0 or value >= base**width:
         raise ParameterError(f"{value} does not fit in {width} base-{base} digits")
     out = []

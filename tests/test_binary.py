@@ -44,14 +44,17 @@ def test_syndrome_rejects_empty_and_non_bits():
 
 
 def test_is_member():
-    assert is_member((0, 1, 0), 2)
-    assert is_member((1, 1, 1), 2)
-    assert not is_member((0, 1, 1), 2)
-    assert is_member((0,) * 5, 0)
+    assert is_member((0, 1, 0), BinaryVtParams(3, 2))
+    assert is_member((1, 1, 1), BinaryVtParams(3, 2))
+    assert not is_member((0, 1, 1), BinaryVtParams(3, 2))
+    assert is_member((0,) * 5, BinaryVtParams(5, 0))
+    # a residue outside 0..n is refused when the params are built
     with pytest.raises(ParameterError):
-        is_member((0, 1, 0), 4)
+        is_member((0, 1, 0), BinaryVtParams(3, 4))
     with pytest.raises(ParameterError):
-        is_member((0, 1, 0), -1)
+        is_member((0, 1, 0), BinaryVtParams(3, -1))
+    with pytest.raises(ParameterError):
+        is_member((0, 1), BinaryVtParams(3, 2))
 
 
 def test_params_validation():
@@ -105,10 +108,12 @@ def test_encoder_hits_target_and_round_trips_exhaustively():
 
 
 def test_extract_is_positional():
-    p = BinaryVtParams(7, 0)
-    assert extract((0, 0, 1, 0, 1, 1, 0), p) == (1, 1, 1, 0)
+    word = (0, 0, 1, 0, 1, 1, 0)  # checksum 3 + 5 + 6 = 14 = 6 mod 8
+    assert extract(word, BinaryVtParams(7, 6)) == (1, 1, 1, 0)
+    with pytest.raises(NotACodewordError):
+        extract(word, BinaryVtParams(7, 0))
     with pytest.raises(ParameterError):
-        extract((0, 0, 1), p)
+        extract((0, 0, 1), BinaryVtParams(7, 6))
 
 
 def test_correct_after_deletion():

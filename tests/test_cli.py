@@ -188,10 +188,14 @@ def test_codec_errors_exit_2(capsys):
         ["correct", "--q", "2", "--n", "3", "--a", "2", "--word", "0 0 0"]
     ) == EXIT_CODEC
     capsys.readouterr()
-    # extraction from a non-member
+    # extraction from a non-member, q-ary and binary
     assert main(
         ["extract", "--q", "8", "--n", "16", "--a", "1", "--b", "1",
          "--word", REF_WORD_TEXT]
+    ) == EXIT_CODEC
+    capsys.readouterr()
+    assert main(
+        ["extract", "--q", "2", "--n", "7", "--a", "0", "--word", "0 0 1 0 1 1 0"]
     ) == EXIT_CODEC
     err = capsys.readouterr().err
     assert err.startswith("error:")

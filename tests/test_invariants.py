@@ -1,14 +1,25 @@
-"""Invariants that hold the same way everywhere: code parameters accept
+"""Invariants that hold the same way everywhere: integer arguments accept
 numpy integers as word symbols do, and the q-ary encoder's self-checks raise
 CodecError instead of relying on assert, so they survive `python -O`."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from vtcodes import qary
+from vtcodes.analysis import (
+    binary_census,
+    binary_size_bounds,
+    qary_census,
+    qary_size_lower_bound,
+    rate_bounds,
+    single_deletion_size_bound,
+)
 from vtcodes.binary import BinaryVtParams
+from vtcodes.channel import ChannelEvent, TrialReport, run_trials
 from vtcodes.errors import CodecError, ParameterError
-from vtcodes.qary import QaryVtParams
+from vtcodes.qary import PairTable, QaryVtParams, message_length, pair_table, step6_triple
 
 NOT_INTS = [True, False, 3.0, "3", np.float64(3.0), np.True_]
 
@@ -47,3 +58,47 @@ def test_encoder_output_check_raises_codec_error(monkeypatch):
     monkeypatch.setattr(qary, "_matches_code", lambda *args: False)
     with pytest.raises(CodecError):
         qary.encode((0,) * p.k, p)
+
+
+# Calls whose every argument is an int, with valid plain-int arguments.
+INT_CALLS = [
+    (binary_census, (10,)),
+    (binary_size_bounds, (16,)),
+    (qary_census, (6, 3)),
+    (qary_size_lower_bound, (16, 8)),
+    (single_deletion_size_bound, (16, 8)),
+    (message_length, (16, 8)),
+    (rate_bounds, (16, 8)),
+    (pair_table, (3,)),
+    (PairTable, (3,)),
+    (step6_triple, (1, 8)),
+    (lambda trials, seed: run_trials(QaryVtParams(16, 8, 0, 1), "mixed", trials, seed), (3, 0)),
+    (lambda p: ChannelEvent("deletion", position=p), (2,)),
+    (lambda s: ChannelEvent("insertion", position=0, symbol=s), (2,)),
+]
+
+
+def plain(value):
+    """repr of a call's result; unlike ==, it tells np.int64(3) from 3."""
+    if isinstance(value, PairTable):
+        value = (value.q, value.pairs, value.singles)
+    elif isinstance(value, TrialReport):
+        value = dataclasses.replace(value, wall_time=0.0)
+    return repr(value)
+
+
+@pytest.mark.parametrize("call, args", INT_CALLS)
+def test_integer_arguments_accept_numpy_integers(call, args):
+    expected = plain(call(*args))
+    for i in range(len(args)):
+        np_args = args[:i] + (np.int64(args[i]),) + args[i + 1 :]
+        assert plain(call(*np_args)) == expected
+
+
+@pytest.mark.parametrize("call, args", INT_CALLS)
+@pytest.mark.parametrize("bad", NOT_INTS)
+def test_integer_arguments_reject_non_integers(call, args, bad):
+    call(*args)  # warm any cache first, so a cache hit cannot mask the check
+    for i in range(len(args)):
+        with pytest.raises(ParameterError):
+            call(*args[:i], bad, *args[i + 1 :])
