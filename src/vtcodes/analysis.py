@@ -1,11 +1,13 @@
-"""Exhaustive censuses of the codes at desk scale, analytic size and rate
-bounds, and the CSV/JSON report writers.
+"""Exact censuses of the codes, analytic size and rate bounds, and the
+CSV/JSON report writers.
 
-Counting is done by brute force over the whole word space, vectorized in
-chunks, and gated by configurable limits (binary length <= BINARY_LENGTH_LIMIT,
-q-ary word count <= QARY_WORD_LIMIT by default). Counts are exact integers;
-bounds use exact integer or rational arithmetic where possible, and
-real-valued rates are rounded to 6 decimal places in reports.
+Code sizes are counted by dynamic programming over word positions with
+Python ints, so every count is exact at any length: O(n^2) additions for the
+binary census and O(n^2 q^2) for the q-ary one. The limits (binary length
+<= BINARY_LENGTH_LIMIT, q-ary word count <= QARY_WORD_LIMIT by default) are
+kept as the API contract, and binary_codewords still lists words by brute
+force under its limit. Bounds use exact integer or rational arithmetic where
+possible, and real-valued rates are rounded to 6 decimal places in reports.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 import numpy as np
 
@@ -52,10 +55,12 @@ def _check_binary_length(n: int, limit: int) -> int:
 
 @lru_cache(maxsize=None)
 def _binary_census(n: int) -> tuple[int, ...]:
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for _, syn in _binary_checksums(n):
-        counts += np.bincount(syn, minlength=n + 1)
-    return tuple(int(c) for c in counts)
+    # counts[s]: words over the first i positions with checksum s mod n + 1;
+    # position i adds i to every word holding a 1 there
+    counts = [1] + [0] * n
+    for i in range(1, n + 1):
+        counts = list(map(add, counts, counts[-i:] + counts[:-i]))
+    return tuple(counts)
 
 
 def binary_census(n: int, limit: int = BINARY_LENGTH_LIMIT) -> tuple[int, ...]:
@@ -65,11 +70,11 @@ def binary_census(n: int, limit: int = BINARY_LENGTH_LIMIT) -> tuple[int, ...]:
 
 
 def enumerate_binary(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> int:
-    """Exact size of the binary code with residue a, by full enumeration."""
-    counts = binary_census(n, limit)
+    """Exact size of the binary code with residue a."""
+    n = _check_binary_length(n, limit)
     if not 0 <= a <= n:
         raise ParameterError(f"a must lie in 0..{n}, got {a}")
-    return counts[a]
+    return _binary_census(n)[a]
 
 
 def binary_codewords(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> list[tuple[int, ...]]:
@@ -86,22 +91,34 @@ def binary_codewords(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> list[t
     return out
 
 
+def _check_qary_shape(n: int, q: int, limit: int) -> tuple[int, int]:
+    n = check_int(n, "n", 2)
+    q = check_int(q, "q", 3)
+    if q**n > limit:
+        raise LimitExceededError(f"{q}**{n} words exceed the enumeration limit {limit}")
+    return n, q
+
+
 @lru_cache(maxsize=None)
 def _qary_census(n: int, q: int) -> tuple[tuple[int, ...], ...]:
-    counts = np.zeros(n * q, dtype=np.int64)
-    weights = np.arange(1, n, dtype=np.int64)[:, None]
-    total = q**n
-    for start in range(0, total, _CHUNK):
-        x = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = np.empty((n, x.shape[0]), dtype=np.int64)
-        rem = x
-        for j in range(n):
-            rem, digits[j] = np.divmod(rem, q)
-        syn = ((digits[1:] >= digits[:-1]) * weights).sum(axis=0) % n
-        tot = digits.sum(axis=0) % q
-        counts += np.bincount(syn * q + tot, minlength=n * q)
-    grid = counts.reshape(n, q)
-    return tuple(tuple(int(v) for v in row) for row in grid)
+    # ways[c][b][a]: words over the first i positions that end in symbol c,
+    # with symbol sum b mod q and auxiliary checksum a mod n
+    ways = [[[int(b == c and a == 0) for a in range(n)] for b in range(q)] for c in range(q)]
+    for i in range(1, n):
+        total = [list(map(sum, zip(*rows))) for rows in zip(*ways)]
+        below = [[0] * n for _ in range(q)]
+        grown = []
+        for c in range(q):
+            # appending c adds i to the checksum of words ending in a symbol
+            # <= c, leaves the others, and adds c to every symbol sum
+            below = [list(map(add, x, y)) for x, y in zip(below, ways[c])]
+            rows = [
+                list(map(add, r[-i:] + r[:-i], map(sub, t, r))) for r, t in zip(below, total)
+            ]
+            grown.append(rows[-c:] + rows[:-c])
+        ways = grown
+    final = [list(map(sum, zip(*rows))) for rows in zip(*ways)]
+    return tuple(zip(*final))
 
 
 def qary_census(n: int, q: int, limit: int = QARY_WORD_LIMIT) -> tuple[tuple[int, ...], ...]:
@@ -111,21 +128,17 @@ def qary_census(n: int, q: int, limit: int = QARY_WORD_LIMIT) -> tuple[tuple[int
     Works from the raw code definition, so lengths the encoder rejects
     (n < 6, n = 2**m + 1) are still countable.
     """
-    n = check_int(n, "n", 2)
-    q = check_int(q, "q", 3)
-    if q**n > limit:
-        raise LimitExceededError(f"{q}**{n} words exceed the enumeration limit {limit}")
-    return _qary_census(n, q)
+    return _qary_census(*_check_qary_shape(n, q, limit))
 
 
 def enumerate_q(n: int, q: int, a: int, b: int, limit: int = QARY_WORD_LIMIT) -> int:
-    """Exact size of the q-ary code with residues (a, b), by full enumeration."""
-    grid = qary_census(n, q, limit)
+    """Exact size of the q-ary code with residues (a, b)."""
+    n, q = _check_qary_shape(n, q, limit)
     if not 0 <= a < n:
         raise ParameterError(f"a must lie in 0..{n - 1}, got {a}")
     if not 0 <= b < q:
         raise ParameterError(f"b must lie in 0..{q - 1}, got {b}")
-    return grid[a][b]
+    return _qary_census(n, q)[a][b]
 
 
 def qary_size_lower_bound(n: int, q: int) -> int:
@@ -251,33 +264,59 @@ class CodeCensus:
     size_upper: float | int | None
 
 
-def census_rows(n: int, q: int = 2, limit: int | None = None) -> list[CodeCensus]:
+def _check_residues(n: int, q: int, a: int | None, b: int | None) -> None:
+    """Refuse a filter residue that names no code of the (n, q) shape."""
+    if a is not None and a not in range(n + 1 if q == 2 else n):
+        raise ParameterError(f"a={a} is out of range for n={n}")
+    if b is not None:
+        if q == 2:
+            raise ParameterError("b applies to alphabets with q >= 3 only")
+        if b not in range(q):
+            raise ParameterError(f"b={b} is out of range for q={q}")
+
+
+def census_rows(
+    n: int,
+    q: int = 2,
+    limit: int | None = None,
+    a: int | None = None,
+    b: int | None = None,
+) -> list[CodeCensus]:
     """Enumerate every code at one (n, q) shape, with applicable bounds.
 
     q = 2 selects the binary family (one row per a, size window bounds);
     q >= 3 gives one row per (a, b) with the constructive lower bound (when
-    the shape supports it) and the single-deletion upper bound.
+    the shape supports it) and the single-deletion upper bound. Optional a/b
+    keep only the rows of one checksum residue a and/or one sum residue b; a
+    residue outside the shape is refused before anything is counted.
     """
     n = check_int(n, "n")
     q = check_int(q, "q", 2)
     if q == 2:
-        counts = binary_census(n) if limit is None else binary_census(n, limit)
+        n = _check_binary_length(n, BINARY_LENGTH_LIMIT if limit is None else limit)
+        _check_residues(n, q, a, b)
         lo, hi = binary_size_bounds(n)
-        return [
-            CodeCensus(q=2, n=n, a=a, b=None, count=c, size_lower=lo, size_upper=hi)
-            for a, c in enumerate(counts)
+        rows = [
+            CodeCensus(q=2, n=n, a=r, b=None, count=c, size_lower=lo, size_upper=hi)
+            for r, c in enumerate(_binary_census(n))
         ]
-    grid = qary_census(n, q) if limit is None else qary_census(n, q, limit)
-    try:
-        lower = qary_size_lower_bound(n, q)
-    except ParameterError:
-        lower = None
-    upper = float(single_deletion_size_bound(n, q))
-    return [
-        CodeCensus(q=q, n=n, a=a, b=b, count=grid[a][b], size_lower=lower, size_upper=upper)
-        for a in range(n)
-        for b in range(q)
-    ]
+    else:
+        n, q = _check_qary_shape(n, q, QARY_WORD_LIMIT if limit is None else limit)
+        _check_residues(n, q, a, b)
+        grid = _qary_census(n, q)
+        try:
+            lower = qary_size_lower_bound(n, q)
+        except ParameterError:
+            lower = None
+        upper = float(single_deletion_size_bound(n, q))
+        rows = [
+            CodeCensus(
+                q=q, n=n, a=ra, b=rb, count=grid[ra][rb], size_lower=lower, size_upper=upper
+            )
+            for ra in range(n)
+            for rb in range(q)
+        ]
+    return [r for r in rows if (a is None or r.a == a) and (b is None or r.b == b)]
 
 
 def _cell(value) -> str:
@@ -298,25 +337,6 @@ def census_csv(rows: list[CodeCensus]) -> str:
             [_cell(v) for v in (r.q, r.n, r.a, r.b, r.count, r.size_lower, r.size_upper)]
         )
     return buf.getvalue()
-
-
-def select_rows(
-    rows: list[CodeCensus], a: int | None = None, b: int | None = None
-) -> list[CodeCensus]:
-    """Narrow the census_rows of one (n, q) shape to one checksum residue a
-    and/or one sum residue b; a residue outside the shape is refused."""
-    n, q = rows[0].n, rows[0].q
-    if a is not None:
-        rows = [r for r in rows if r.a == a]
-        if not rows:
-            raise ParameterError(f"a={a} is out of range for n={n}")
-    if b is not None:
-        if q == 2:
-            raise ParameterError("b applies to alphabets with q >= 3 only")
-        rows = [r for r in rows if r.b == b]
-        if not rows:
-            raise ParameterError(f"b={b} is out of range for q={q}")
-    return rows
 
 
 def rows_report(rows: list[CodeCensus]) -> dict:
@@ -356,7 +376,7 @@ def census_report(
 ) -> dict:
     """JSON-ready census report: parameters, counts, bounds, rates.
 
-    Optional a/b filters narrow the counts list; bounds and rates always
-    describe the whole (n, q) shape.
+    Optional a/b filters narrow the counts list (see census_rows); bounds and
+    rates always describe the whole (n, q) shape.
     """
-    return rows_report(select_rows(census_rows(n, q, limit), a, b))
+    return rows_report(census_rows(n, q, limit, a, b))

@@ -60,7 +60,7 @@ def _cmd_member(args):
 
 
 def _cmd_enumerate(args):
-    rows = analysis.select_rows(analysis.census_rows(args.n, args.q, args.limit), args.a, args.b)
+    rows = analysis.census_rows(args.n, args.q, args.limit, args.a, args.b)
     return analysis.census_csv(rows), analysis.rows_report(rows)
 
 
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_flag(sub)
     sub.set_defaults(handler=_cmd_member)
 
-    sub = subs.add_parser("enumerate", help="census of code sizes by brute force (CSV)")
+    sub = subs.add_parser("enumerate", help="exact census of code sizes (CSV)")
     sub.add_argument("--q", type=int, required=True, help="alphabet size (2 = binary)")
     sub.add_argument("--n", type=int, required=True, help="code length")
     sub.add_argument("--a", type=int, default=None, help="restrict to one checksum residue")

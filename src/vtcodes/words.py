@@ -18,10 +18,12 @@ Word = tuple[int, ...]
 
 
 def _as_int(value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"expected an integer, got {value!r}") from None
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"expected an integer, got {value!r}")
 
 
 def check_int(value, name: str, minimum: int | None = None) -> int:
@@ -39,22 +41,26 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
 
 
 def check_symbols(word: Iterable[int]) -> Word:
-    """Validate a sequence of non-negative integer symbols (alphabet unknown)."""
+    """Validate a sequence of non-negative integer symbols (alphabet unknown).
+    numpy integers are accepted; bool, float and str symbols are refused."""
     if isinstance(word, str):
         raise ParameterError("expected a sequence of ints; use parse_symbols() for text")
-    out = tuple(_as_int(s) for s in word)
-    for s in out:
-        if s < 0:
-            raise ParameterError(f"symbols must be non-negative, got {s}")
+    out = tuple(word)
+    if set(map(type, out)) != {int}:
+        # numpy integers convert through operator.index; bools are refused
+        out = tuple(map(_as_int, out))
+    if out and min(out) < 0:
+        bad = next(s for s in out if s < 0)
+        raise ParameterError(f"symbols must be non-negative, got {bad}")
     return out
 
 
 def check_word(word: Iterable[int], q: int) -> Word:
     """Validate a word over the alphabet {0, .., q-1} and return it as a tuple."""
     out = check_symbols(word)
-    for s in out:
-        if s >= q:
-            raise ParameterError(f"symbol {s} out of range for alphabet size {q}")
+    if out and max(out) >= q:
+        bad = next(s for s in out if s >= q)
+        raise ParameterError(f"symbol {bad} out of range for alphabet size {q}")
     return out
 
 

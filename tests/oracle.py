@@ -1,13 +1,20 @@
-"""Slow reference correctors: the candidate search the library used before
-its linear-time decoders.
+"""Slow reference implementations the library replaced with faster ones,
+kept so the differential tests can check the fast versions against them.
 
-Each one enumerates every distinct word one edit away from the received word
-and keeps those in the code, so it costs O(n^2 * q). The differential tests
-check the library decoders against these, result and exception type alike.
+- The candidate-search correctors the library used before its linear-time
+  decoders. Each one enumerates every distinct word one edit away from the
+  received word and keeps those in the code, so it costs O(n^2 * q); the
+  decoders must match them, result and exception type alike.
+- The brute-force censuses the library used before its dynamic programmes.
+  Each one walks all q^n words in numpy chunks, so they are only usable for
+  small word spaces; the censuses must match them count for count.
 """
 
 from typing import Iterable
 
+import numpy as np
+
+from vtcodes.analysis import _CHUNK, _binary_checksums
 from vtcodes.binary import BinaryVtParams, _checksum
 from vtcodes.errors import (
     AmbiguousCorrectionError,
@@ -75,3 +82,27 @@ def correct_q(received: Iterable[int], params: QaryVtParams) -> Word:
             f"no codeword within one edit of the received word (n={n}, q={q}, a={a}, b={b})"
         )
     return found
+
+
+def binary_census(n: int) -> tuple[int, ...]:
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for _, syn in _binary_checksums(n):
+        counts += np.bincount(syn, minlength=n + 1)
+    return tuple(int(c) for c in counts)
+
+
+def qary_census(n: int, q: int) -> tuple[tuple[int, ...], ...]:
+    counts = np.zeros(n * q, dtype=np.int64)
+    weights = np.arange(1, n, dtype=np.int64)[:, None]
+    total = q**n
+    for start in range(0, total, _CHUNK):
+        x = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        digits = np.empty((n, x.shape[0]), dtype=np.int64)
+        rem = x
+        for j in range(n):
+            rem, digits[j] = np.divmod(rem, q)
+        syn = ((digits[1:] >= digits[:-1]) * weights).sum(axis=0) % n
+        tot = digits.sum(axis=0) % q
+        counts += np.bincount(syn * q + tot, minlength=n * q)
+    grid = counts.reshape(n, q)
+    return tuple(tuple(int(v) for v in row) for row in grid)

@@ -1,0 +1,90 @@
+"""The dynamic-programming censuses against the brute-force oracle, and the
+checks only they can reach: size bounds and even splits at lengths far past
+any brute-force word space."""
+
+import pytest
+
+import oracle
+from vtcodes import analysis
+from vtcodes.analysis import (
+    binary_census,
+    binary_size_within_bounds,
+    census_report,
+    census_rows,
+    enumerate_binary,
+    enumerate_q,
+    qary_census,
+    qary_size_lower_bound,
+)
+from vtcodes.cli import EXIT_USAGE, main
+from vtcodes.errors import ParameterError
+
+# every q-ary shape with q in 3..8, n >= 2 and at most 2**20 words, which
+# includes lengths the encoder refuses (n < 6, n = 2**m + 1)
+ORACLE_SHAPES = [(n, q) for q in range(3, 9) for n in range(2, 21) if q**n <= 1 << 20]
+
+
+@pytest.mark.parametrize("n, q", ORACLE_SHAPES)
+def test_qary_census_matches_brute_force(n, q):
+    assert qary_census(n, q) == oracle.qary_census(n, q)
+
+
+def test_binary_census_matches_brute_force():
+    for n in range(1, 21):
+        assert binary_census(n) == oracle.binary_census(n)
+
+
+@pytest.mark.parametrize("n, q", [(16, 3), (32, 3), (32, 4), (32, 5), (64, 8), (48, 7)])
+def test_qary_counts_meet_constructive_lower_bound_at_scale(n, q):
+    grid = qary_census(n, q, limit=q**n)
+    assert sum(map(sum, grid)) == q**n
+    assert min(map(min, grid)) >= qary_size_lower_bound(n, q)
+
+
+def test_binary_counts_within_size_window_at_scale():
+    for n in range(15, 257):
+        counts = binary_census(n, limit=256)
+        assert sum(counts) == 1 << n
+        assert all(binary_size_within_bounds(n, c) for c in counts), n
+
+
+@pytest.mark.parametrize("n", [31, 63, 127, 255])
+def test_binary_census_splits_evenly_at_lengths_two_to_the_m_minus_one(n):
+    assert set(binary_census(n, limit=n)) == {(1 << n) // (n + 1)}
+
+
+@pytest.fixture
+def no_census(monkeypatch):
+    """Make any census computation fail the test."""
+
+    def fail(*args):
+        raise AssertionError("a census was computed")
+
+    monkeypatch.setattr(analysis, "_binary_census", fail)
+    monkeypatch.setattr(analysis, "_qary_census", fail)
+    monkeypatch.setattr(analysis, "_binary_checksums", fail)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_binary(20, 99),
+        lambda: enumerate_binary(20, -1),
+        lambda: enumerate_q(12, 4, 12, 0),
+        lambda: enumerate_q(12, 4, 0, 4),
+        lambda: analysis.binary_codewords(20, 21),
+        lambda: census_rows(20, a=21),
+        lambda: census_report(20, a=99),
+        lambda: census_report(20, b=1),
+        lambda: census_report(12, 4, a=12),
+        lambda: census_report(12, 4, b=4),
+    ],
+)
+def test_out_of_range_residue_is_refused_before_counting(no_census, call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_cli_refuses_out_of_range_residue_before_counting(no_census, capsys):
+    assert main(["enumerate", "--q", "2", "--n", "20", "--a", "99"]) == EXIT_USAGE
+    assert main(["enumerate", "--q", "4", "--n", "12", "--b", "4"]) == EXIT_USAGE

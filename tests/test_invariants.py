@@ -1,13 +1,14 @@
-"""Invariants that hold the same way everywhere: integer arguments accept
-numpy integers as word symbols do, and the q-ary encoder's self-checks raise
-CodecError instead of relying on assert, so they survive `python -O`."""
+"""Invariants that hold the same way everywhere: integer arguments and word
+symbols accept numpy integers and refuse bools, and the q-ary encoder's
+self-checks raise CodecError instead of relying on assert, so they survive
+`python -O`."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from vtcodes import qary
+from vtcodes import binary, qary
 from vtcodes.analysis import (
     binary_census,
     binary_size_bounds,
@@ -20,6 +21,7 @@ from vtcodes.binary import BinaryVtParams
 from vtcodes.channel import ChannelEvent, TrialReport, run_trials
 from vtcodes.errors import CodecError, ParameterError
 from vtcodes.qary import PairTable, QaryVtParams, message_length, pair_table, step6_triple
+from vtcodes.words import check_bits, check_symbols, check_word, int_to_bits, int_to_digits
 
 NOT_INTS = [True, False, 3.0, "3", np.float64(3.0), np.True_]
 
@@ -102,3 +104,34 @@ def test_integer_arguments_reject_non_integers(call, args, bad):
     for i in range(len(args)):
         with pytest.raises(ParameterError):
             call(*args[:i], bad, *args[i + 1 :])
+
+
+def test_word_symbols_accept_numpy_integers():
+    word = np.array([1, 0, 1, 1], dtype=np.int64)
+    for check in (check_symbols, check_bits, lambda w: check_word(w, 4)):
+        out = check(word)
+        assert repr(out) == "(1, 0, 1, 1)"
+
+
+@pytest.mark.parametrize("bad", NOT_INTS)
+def test_word_symbols_reject_non_integers(bad):
+    for check in (check_symbols, check_bits, lambda w: check_word(w, 4)):
+        with pytest.raises(ParameterError, match="expected an integer"):
+            check((0, 1, bad, 1))
+    with pytest.raises(ParameterError):
+        binary.encode((bad,) * 6, BinaryVtParams(10, 3))
+    with pytest.raises(ParameterError):
+        qary.correct((bad,) * 15, QaryVtParams(16, 8, 0, 1))
+    with pytest.raises(ParameterError):
+        int_to_bits(bad, 3)
+    with pytest.raises(ParameterError):
+        int_to_digits(bad, 3, 2)
+
+
+def test_word_symbol_errors_name_the_first_bad_symbol():
+    with pytest.raises(ParameterError, match="got True"):
+        check_bits((1, 1, True, 2.0))
+    with pytest.raises(ParameterError, match="got -1"):
+        check_symbols((0, -1, -3))
+    with pytest.raises(ParameterError, match="symbol 5 out of range"):
+        check_word((0, 5, 7), 4)
