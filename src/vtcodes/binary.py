@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -24,11 +25,7 @@ from .words import Word, check_bits, check_int, check_symbols
 
 
 def _checksum(bits: Sequence[int], modulus: int) -> int:
-    total = 0
-    for i, b in enumerate(bits, start=1):
-        if b:
-            total += i
-    return total % modulus
+    return sum(compress(count(1), bits)) % modulus
 
 
 def syndrome(word: Iterable[int]) -> int:
@@ -149,12 +146,8 @@ def _levenshtein_restore(received: Word, m: int, a: int) -> tuple[Word, int] | N
     leftmost is reported. A lost bit can always be put back; None means that
     removing no single bit lands in the code. One pass, O(m).
     """
-    weight = 0
-    total = 0
-    for i, bit in enumerate(received, start=1):
-        if bit:
-            weight += 1
-            total += i
+    weight = sum(received)
+    total = sum(compress(count(1), received))
     if len(received) == m - 1:
         deficit = (a - total) % (m + 1)
         if deficit <= weight:

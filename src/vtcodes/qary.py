@@ -11,13 +11,17 @@ neighbours 2^j - 1, 2^j + 1. Free message symbols ride in the remaining
 positions; the neighbour pairs carry message data through a constrained value
 table; the reserved positions then absorb the checksum deficit and the first
 three symbols absorb the sum deficit. Lengths with n - 1 a power of two would
-need position n for the layout and are rejected.
+need position n for the layout and are rejected. Encoding and extraction take
+O(n) work in builtins: the free symbols move as slices of runs between the
+reserved blocks and the comparisons and checksums are map/compress passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain, compress, islice
+from operator import ge
 from typing import Iterable, Sequence
 
 from .binary import _checksum, _levenshtein_restore, syndrome
@@ -33,14 +37,14 @@ from .errors import (
 )
 from .words import (
     Word,
-    bits_to_int,
+    _bit_text,
+    _digits_value,
+    _text_bits,
+    _value_digits,
     check_bits,
     check_int,
     check_symbols,
     check_word,
-    digits_to_int,
-    int_to_bits,
-    int_to_digits,
 )
 
 
@@ -53,18 +57,23 @@ def aux_sequence(word: Iterable[int]) -> Word:
     w = check_symbols(word)
     if len(w) < 2:
         raise ParameterError(f"word must have length at least 2, got {len(w)}")
-    return tuple(1 if w[i] >= w[i - 1] else 0 for i in range(1, len(w)))
+    return _ascents(w)
+
+
+def _ascents(w: Sequence[int]) -> Word:
+    """The auxiliary bits of a validated word, 0/1 ints."""
+    return tuple(bytes(map(ge, w[1:], w)))
 
 
 def mod_sum(word: Iterable[int], q: int) -> int:
     """Symbol sum mod q."""
-    if q < 2:
-        raise ParameterError(f"alphabet size must be at least 2, got {q}")
+    q = check_int(q, "alphabet size", 2)
     return sum(check_word(word, q)) % q
 
 
 def code_signature(word: Iterable[int], q: int) -> tuple[int, int]:
     """(auxiliary checksum mod n, symbol sum mod q) of a word of length n."""
+    q = check_int(q, "alphabet size")
     w = check_word(word, q)
     return syndrome(aux_sequence(w)), sum(w) % q
 
@@ -215,11 +224,19 @@ class QaryVtParams:
     @cached_property
     def free_positions(self) -> Word:
         """Positions that carry plain base-q message symbols."""
-        reserved = set(self.dyadic_positions)
-        for left, right in self.pair_positions:
-            reserved.add(left)
-            reserved.add(right)
-        return tuple(p for p in range(1, self.n) if p not in reserved)
+        return tuple(chain.from_iterable(self._free_runs))
+
+    @cached_property
+    def _free_runs(self) -> tuple[range, ...]:
+        """The free positions in runs: from each reserved block 2^j - 1 ..
+        2^j + 1 (j >= 2) up to the next block, or to the end of the word."""
+        stops = [(2 << j) - 1 for j in range(2, self.t - 1)] + [self.n]
+        return tuple(range((1 << j) + 2, stop) for j, stop in enumerate(stops, 2))
+
+    @cached_property
+    def _free_bits(self) -> int:
+        """Message bits in the free block: floor(log2(q ** free count))."""
+        return _ilog2(self.q ** len(self.free_positions))
 
     def encode(self, message: Iterable[int]) -> Word:
         return encode(message, self)
@@ -239,16 +256,8 @@ class QaryVtParams:
 
 def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
     """Membership test for an already validated word of length n."""
-    syn = 0
-    total = w[0]
-    prev = w[0]
-    for i in range(1, n):
-        cur = w[i]
-        if cur >= prev:
-            syn += i
-        total += cur
-        prev = cur
-    return syn % n == a and total % q == b
+    syn = sum(compress(range(1, n), map(ge, w[1:], w)))
+    return syn % n == a and sum(w) % q == b
 
 
 def is_member(word: Iterable[int], params: QaryVtParams) -> bool:
@@ -302,25 +311,21 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
     q = params.q
     table = pair_table(q)
     c: list = [None] * params.n
-    free = params.free_positions
-    used = 0
-    if free:
-        width = _ilog2(q ** len(free))
-        value = bits_to_int(bits[:width])
-        used = width
-        for pos, sym in zip(free, int_to_digits(value, q, len(free))):
-            c[pos] = sym
+    text = _bit_text(bits)
+    used = params._free_bits
+    if params.free_positions:
+        digits = iter(_value_digits(int(text[:used], 2), q, len(params.free_positions)))
+        for run in params._free_runs:
+            c[run.start : run.stop] = islice(digits, len(run))
     for left, right in params.pair_positions[1:]:
-        idx = bits_to_int(bits[used : used + table.pair_bits])
+        c[left], c[right] = table.pair(int(text[used : used + table.pair_bits], 2))
         used += table.pair_bits
-        c[left], c[right] = table.pair(idx)
     if q == 3:
         c[3], c[5] = 2, 2
     else:
         c[3] = q - 1
-        idx = bits_to_int(bits[used : used + table.single_bits])
+        c[5] = table.single(int(text[used : used + table.single_bits], 2))
         used += table.single_bits
-        c[5] = table.single(idx)
     if used != len(bits):
         raise CodecError(f"message layout used {used} of {len(bits)} bits")
     return c
@@ -333,18 +338,14 @@ def _prefill_aux(c: Sequence, params: QaryVtParams) -> list:
     outright; a position just after a reserved power of two compares across
     it, which stays valid however the reserved symbol is later chosen.
     """
-    n = params.n
-    dyadic = set(params.dyadic_positions)
-    aux = [0] * n  # index i holds the bit comparing positions i and i-1
-    for i in range(1, n):
-        if i in dyadic:
-            continue
-        if i == 3:
-            aux[i] = 1
-        elif i - 1 in dyadic and i > 3:
-            aux[i] = 1 if c[i] >= c[i - 2] else 0
-        else:
-            aux[i] = 1 if c[i] >= c[i - 1] else 0
+    tail = c[3:]  # positions 0..2 are unset; so are the reserved ones, zeroed here
+    reserved = params.dyadic_positions[2:]
+    for pos in reserved:
+        tail[pos - 3] = 0
+    aux = [0, 0, 0, 1, *_ascents(tail)]  # index i compares positions i and i-1
+    for pos in reserved:
+        aux[pos] = 0
+        aux[pos + 1] = int(c[pos + 1] >= c[pos - 1])
     return aux
 
 
@@ -417,14 +418,14 @@ def extract(word: Iterable[int], params: QaryVtParams) -> Word:
     if not _matches_code(w, n, q, params.a, params.b):
         raise NotACodewordError(f"word is not in the code (a={params.a}, b={params.b})")
     table = pair_table(q)
-    bits: list = []
-    free = params.free_positions
-    if free:
-        width = _ilog2(q ** len(free))
-        value = digits_to_int([w[p] for p in free], q)
+    parts = []
+    if params.free_positions:
+        width = params._free_bits
+        free = chain.from_iterable(w[run.start : run.stop] for run in params._free_runs)
+        value = _digits_value(tuple(free), q)
         if value >> width:
             raise ExtractionError("free-position symbols exceed the message range")
-        bits += int_to_bits(value, width)
+        parts.append(format(value, f"0{width}b"))
     for left, right in params.pair_positions[1:]:
         try:
             idx = table.pair_index((w[left], w[right]))
@@ -434,7 +435,7 @@ def extract(word: Iterable[int], params: QaryVtParams) -> Word:
             ) from exc
         if idx >> table.pair_bits:
             raise ExtractionError(f"pair at positions {left}, {right} exceeds the message range")
-        bits += int_to_bits(idx, table.pair_bits)
+        parts.append(format(idx, f"0{table.pair_bits}b"))
     if q == 3:
         if w[5] != 2 or w[3] not in (1, 2):
             raise ExtractionError("positions 3 and 5 do not match the encoder layout")
@@ -447,10 +448,11 @@ def extract(word: Iterable[int], params: QaryVtParams) -> Word:
             raise ExtractionError(f"position 5 holds the excluded value {w[5]}") from exc
         if idx >> table.single_bits:
             raise ExtractionError("position 5 exceeds the message range")
-        bits += int_to_bits(idx, table.single_bits)
+        parts.append(format(idx, f"0{table.single_bits}b"))
+    bits = _text_bits("".join(parts))
     if len(bits) != params.k:
         raise CodecError(f"extracted {len(bits)} message bits, expected {params.k}")
-    return tuple(bits)
+    return bits
 
 
 def _tenengolts_restore(r: Word, n: int, q: int, a: int, b: int) -> Word | None:
@@ -468,7 +470,7 @@ def _tenengolts_restore(r: Word, n: int, q: int, a: int, b: int) -> Word | None:
     deletion = len(r) == n - 1
     total = sum(r)
     symbol = (b - total) % q if deletion else (total - b) % q
-    aux = tuple(1 if y >= x else 0 for x, y in zip(r, r[1:]))
+    aux = _ascents(r)
     restored = _levenshtein_restore(aux, n - 1, a)
     if restored is None:
         return None

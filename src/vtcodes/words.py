@@ -5,12 +5,19 @@ Serialization conventions used throughout the package and the CLI: a bit
 sequence is a contiguous string of '0'/'1' characters with the lowest index
 leftmost; a q-ary word is a run of space-separated decimal symbols, which
 stays unambiguous for alphabets larger than ten.
+
+The public block conversions validate their input once and hand it to
+unchecked helpers that the q-ary codec calls directly. Bits convert through
+int() and format() on '0'/'1' text, base-q digits c at a time (q**c <= 256)
+through a per-base table.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError
 
@@ -57,6 +64,8 @@ def check_symbols(word: Iterable[int]) -> Word:
 
 def check_word(word: Iterable[int], q: int) -> Word:
     """Validate a word over the alphabet {0, .., q-1} and return it as a tuple."""
+    if type(q) is not int:
+        q = check_int(q, "alphabet size")
     out = check_symbols(word)
     if out and max(out) >= q:
         bad = next(s for s in out if s >= q)
@@ -95,10 +104,8 @@ def format_symbols(word: Iterable[int]) -> str:
 
 def bits_to_int(bits: Iterable[int]) -> int:
     """Big-endian: the first bit is the most significant."""
-    value = 0
-    for b in check_bits(bits):
-        value = (value << 1) | b
-    return value
+    bits = check_bits(bits)
+    return int(_bit_text(bits), 2) if bits else 0
 
 
 def int_to_bits(value: int, width: int) -> Word:
@@ -106,16 +113,13 @@ def int_to_bits(value: int, width: int) -> Word:
     width = check_int(width, "width", 0)
     if value < 0 or value >> width:
         raise ParameterError(f"{value} does not fit in {width} bits")
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+    return _text_bits(format(value, f"0{width}b")) if width else ()
 
 
 def digits_to_int(digits: Iterable[int], base: int) -> int:
     """Big-endian base conversion; the first digit is the most significant."""
     base = check_int(base, "base", 2)
-    value = 0
-    for d in check_word(digits, base):
-        value = value * base + d
-    return value
+    return _digits_value(check_word(digits, base), base)
 
 
 def int_to_digits(value: int, base: int, width: int) -> Word:
@@ -124,11 +128,58 @@ def int_to_digits(value: int, base: int, width: int) -> Word:
     width = check_int(width, "width", 0)
     if value < 0 or value >= base**width:
         raise ParameterError(f"{value} does not fit in {width} base-{base} digits")
-    out = []
-    for _ in range(width):
-        value, d = divmod(value, base)
-        out.append(d)
-    return tuple(reversed(out))
+    return _value_digits(value, base, width)
+
+
+# Unchecked conversions for validated input. Bits travel as b"0101" text, so
+# int(), format() and bytes.translate do the per-bit work.
+_TO_TEXT = bytes.maketrans(b"\0\1", b"01")
+_FROM_TEXT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_text(bits: Sequence[int]) -> bytes:
+    return bytes(bits).translate(_TO_TEXT)
+
+
+def _text_bits(text: str) -> Word:
+    return tuple(text.encode().translate(_FROM_TEXT))
+
+
+@lru_cache(maxsize=None)
+def _chunking(base: int) -> tuple[int, tuple[Word, ...], dict]:
+    """(c, digits, values) for converting c digits at a time: c >= 1 is the
+    most base-`base` digits whose value fits in a byte, digits[v] holds the c
+    big-endian digits of v and values inverts it. At c = 1 both are empty."""
+    c = 1
+    while base ** (c + 1) <= 256:
+        c += 1
+    digits = tuple(itertools.product(range(base), repeat=c)) if c > 1 else ()
+    return c, digits, {d: v for v, d in enumerate(digits)}
+
+
+def _value_digits(value: int, base: int, width: int) -> Word:
+    """The width big-endian base-`base` digits of 0 <= value < base**width."""
+    c, table, _ = _chunking(base)
+    chunk, chunks = base**c, []
+    for _ in range(-(-width // c)):
+        value, d = divmod(value, chunk)
+        chunks.append(d)
+    chunks.reverse()
+    if c > 1:
+        chunks = itertools.chain.from_iterable(map(table.__getitem__, chunks))
+    out = tuple(chunks)
+    return out[len(out) - width :]
+
+
+def _digits_value(digits: Sequence[int], base: int) -> int:
+    c, _, values = _chunking(base)
+    if c > 1:  # whole chunks, padded with leading zeros
+        padded = (0,) * (-len(digits) % c) + tuple(digits)
+        digits = map(values.__getitem__, zip(*[iter(padded)] * c))
+    chunk, value = base**c, 0
+    for d in digits:
+        value = value * chunk + d
+    return value
 
 
 def distinct_deletions(word: Word) -> Iterator[Word]:
@@ -150,6 +201,7 @@ def distinct_insertions(word: Word, q: int) -> Iterator[Word]:
     Inserting s directly before an existing s duplicates the insertion one
     step later, so those positions are skipped.
     """
+    q = check_int(q, "alphabet size")
     for i in range(len(word) + 1):
         for s in range(q):
             if i < len(word) and word[i] == s:

@@ -8,22 +8,46 @@ kept so the differential tests can check the fast versions against them.
 - The brute-force censuses the library used before its dynamic programmes.
   Each one walks all q^n words in numpy chunks, so they are only usable for
   small word spaces; the censuses must match them count for count.
+- The per-symbol loops the library used before its linear-time encoder and
+  extractor: the weighted checksums, the q-ary layout (free positions,
+  message placement, auxiliary prefill, completion, encode, extract) and
+  the bit and digit conversions. The library must match them word for word
+  and raise the same exception types.
 """
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from vtcodes.analysis import _CHUNK, _binary_checksums
-from vtcodes.binary import BinaryVtParams, _checksum
+from vtcodes.binary import BinaryVtParams
 from vtcodes.errors import (
     AmbiguousCorrectionError,
+    CodecError,
+    ExtractionError,
+    MessageLengthError,
     NoCandidateError,
     NotACodewordError,
     ParameterError,
+    UnsupportedParametersError,
 )
-from vtcodes.qary import QaryVtParams, _matches_code
-from vtcodes.words import Word, check_bits, check_word, distinct_deletions, distinct_insertions
+from vtcodes.qary import (
+    QaryVtParams,
+    _finish_prefix_q3,
+    _ilog2,
+    arrange_prefix,
+    pair_table,
+    step6_triple,
+)
+from vtcodes.words import (
+    Word,
+    _as_int,
+    check_bits,
+    check_int,
+    check_word,
+    distinct_deletions,
+    distinct_insertions,
+)
 
 
 def correct_binary(received: Iterable[int], params: BinaryVtParams) -> Word:
@@ -106,3 +130,210 @@ def qary_census(n: int, q: int) -> tuple[tuple[int, ...], ...]:
         counts += np.bincount(syn * q + tot, minlength=n * q)
     grid = counts.reshape(n, q)
     return tuple(tuple(int(v) for v in row) for row in grid)
+
+
+def free_positions(params: QaryVtParams) -> Word:
+    """Positions that carry plain base-q message symbols."""
+    reserved = set(params.dyadic_positions)
+    for left, right in params.pair_positions:
+        reserved.add(left)
+        reserved.add(right)
+    return tuple(p for p in range(1, params.n) if p not in reserved)
+
+
+def _checksum(bits: Sequence[int], modulus: int) -> int:
+    total = 0
+    for i, b in enumerate(bits, start=1):
+        if b:
+            total += i
+    return total % modulus
+
+
+def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
+    """Membership test for an already validated word of length n."""
+    syn = 0
+    total = w[0]
+    prev = w[0]
+    for i in range(1, n):
+        cur = w[i]
+        if cur >= prev:
+            syn += i
+        total += cur
+        prev = cur
+    return syn % n == a and total % q == b
+
+
+def _place_message(bits: Word, params: QaryVtParams) -> list:
+    """Spread message bits over the free, pair, and position-5 slots.
+
+    Returns the word as a list with positions 0..2 and the reserved powers of
+    two still unset (None).
+    """
+    q = params.q
+    table = pair_table(q)
+    c: list = [None] * params.n
+    free = params.free_positions
+    used = 0
+    if free:
+        width = _ilog2(q ** len(free))
+        value = bits_to_int(bits[:width])
+        used = width
+        for pos, sym in zip(free, int_to_digits(value, q, len(free))):
+            c[pos] = sym
+    for left, right in params.pair_positions[1:]:
+        idx = bits_to_int(bits[used : used + table.pair_bits])
+        used += table.pair_bits
+        c[left], c[right] = table.pair(idx)
+    if q == 3:
+        c[3], c[5] = 2, 2
+    else:
+        c[3] = q - 1
+        idx = bits_to_int(bits[used : used + table.single_bits])
+        used += table.single_bits
+        c[5] = table.single(idx)
+    if used != len(bits):
+        raise CodecError(f"message layout used {used} of {len(bits)} bits")
+    return c
+
+
+def _prefill_aux(c: Sequence, params: QaryVtParams) -> list:
+    """Auxiliary bits of a partially built word, reserved positions zeroed.
+
+    Position 3 is pinned to the largest value in play, so its bit is 1
+    outright; a position just after a reserved power of two compares across
+    it, which stays valid however the reserved symbol is later chosen.
+    """
+    n = params.n
+    dyadic = set(params.dyadic_positions)
+    aux = [0] * n  # index i holds the bit comparing positions i and i-1
+    for i in range(1, n):
+        if i in dyadic:
+            continue
+        if i == 3:
+            aux[i] = 1
+        elif i - 1 in dyadic and i > 3:
+            aux[i] = 1 if c[i] >= c[i - 2] else 0
+        else:
+            aux[i] = 1 if c[i] >= c[i - 1] else 0
+    return aux
+
+
+def _complete_codeword(c: list, params: QaryVtParams) -> Word:
+    """Fill the reserved and prefix positions of a word whose message
+    positions are already set, landing it on the target residues."""
+    n, q, a, b = params.n, params.q, params.a, params.b
+    aux = _prefill_aux(c, params)
+    deficit = (a - _checksum(aux[1:], n)) % n
+    for j, pos in enumerate(params.dyadic_positions):
+        aux[pos] = (deficit >> j) & 1
+    for pos in params.dyadic_positions[2:]:
+        c[pos] = c[pos - 1] if aux[pos] else c[pos - 1] - 1
+    if q == 3:
+        _finish_prefix_q3(c, aux, b)
+    else:
+        w = (b - sum(c[3:])) % q
+        c[0], c[1], c[2] = arrange_prefix(step6_triple(w, q), aux[1], aux[2])
+    word = tuple(c)
+    if not _matches_code(word, n, q, a, b):
+        raise CodecError(f"encoder output misses the code (n={n}, q={q}, a={a}, b={b})")
+    return word
+
+
+def encode_q(message: Iterable[int], params: QaryVtParams) -> Word:
+    """Systematically encode k message bits into a codeword."""
+    bits = check_bits(message)
+    if params.k == 0:
+        raise UnsupportedParametersError(
+            f"(n={params.n}, q={params.q}) carries no message bits"
+        )
+    if len(bits) != params.k:
+        raise MessageLengthError(
+            f"expected {params.k} message bits for (n={params.n}, q={params.q}), "
+            f"got {len(bits)}"
+        )
+    return _complete_codeword(_place_message(bits, params), params)
+
+
+def extract_q(word: Iterable[int], params: QaryVtParams) -> Word:
+    """Read the message bits back out of a codeword produced by encode()."""
+    w = check_word(word, params.q)
+    n, q = params.n, params.q
+    if len(w) != n:
+        raise ParameterError(f"expected a word of length {n}, got {len(w)}")
+    if params.k == 0:
+        raise UnsupportedParametersError(f"(n={n}, q={q}) carries no message bits")
+    if not _matches_code(w, n, q, params.a, params.b):
+        raise NotACodewordError(f"word is not in the code (a={params.a}, b={params.b})")
+    table = pair_table(q)
+    bits: list = []
+    free = params.free_positions
+    if free:
+        width = _ilog2(q ** len(free))
+        value = digits_to_int([w[p] for p in free], q)
+        if value >> width:
+            raise ExtractionError("free-position symbols exceed the message range")
+        bits += int_to_bits(value, width)
+    for left, right in params.pair_positions[1:]:
+        try:
+            idx = table.pair_index((w[left], w[right]))
+        except ParameterError as exc:
+            raise ExtractionError(
+                f"positions {left}, {right} do not hold a constrained pair"
+            ) from exc
+        if idx >> table.pair_bits:
+            raise ExtractionError(f"pair at positions {left}, {right} exceeds the message range")
+        bits += int_to_bits(idx, table.pair_bits)
+    if q == 3:
+        if w[5] != 2 or w[3] not in (1, 2):
+            raise ExtractionError("positions 3 and 5 do not match the encoder layout")
+    else:
+        if w[3] != q - 1:
+            raise ExtractionError(f"position 3 must hold {q - 1}, got {w[3]}")
+        try:
+            idx = table.single_index(w[5])
+        except ParameterError as exc:
+            raise ExtractionError(f"position 5 holds the excluded value {w[5]}") from exc
+        if idx >> table.single_bits:
+            raise ExtractionError("position 5 exceeds the message range")
+        bits += int_to_bits(idx, table.single_bits)
+    if len(bits) != params.k:
+        raise CodecError(f"extracted {len(bits)} message bits, expected {params.k}")
+    return tuple(bits)
+
+
+def bits_to_int(bits: Iterable[int]) -> int:
+    """Big-endian: the first bit is the most significant."""
+    value = 0
+    for b in check_bits(bits):
+        value = (value << 1) | b
+    return value
+
+
+def int_to_bits(value: int, width: int) -> Word:
+    value = _as_int(value)
+    width = check_int(width, "width", 0)
+    if value < 0 or value >> width:
+        raise ParameterError(f"{value} does not fit in {width} bits")
+    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def digits_to_int(digits: Iterable[int], base: int) -> int:
+    """Big-endian base conversion; the first digit is the most significant."""
+    base = check_int(base, "base", 2)
+    value = 0
+    for d in check_word(digits, base):
+        value = value * base + d
+    return value
+
+
+def int_to_digits(value: int, base: int, width: int) -> Word:
+    value = _as_int(value)
+    base = check_int(base, "base", 2)
+    width = check_int(width, "width", 0)
+    if value < 0 or value >= base**width:
+        raise ParameterError(f"{value} does not fit in {width} base-{base} digits")
+    out = []
+    for _ in range(width):
+        value, d = divmod(value, base)
+        out.append(d)
+    return tuple(reversed(out))

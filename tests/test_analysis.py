@@ -248,6 +248,13 @@ def test_rate_bounds_invariants():
             assert r.encoder_rate_floor <= r.encoder_rate + 1e-12
 
 
+def test_ternary_rate_floor_holds_at_every_supported_length():
+    for n in range(6, 5000):
+        if (n - 1) & (n - 2):  # lengths n = 2**m + 1 are unsupported
+            r = rate_bounds(n, 3)
+            assert r.encoder_rate_floor <= r.encoder_rate, n
+
+
 def test_rate_report_to_dict():
     d = rate_bounds(16, 8).to_dict()
     assert d["k"] == 28

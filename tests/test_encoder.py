@@ -1,0 +1,158 @@
+"""The q-ary encoder, extractor, conversions and checksum kernels against the
+per-symbol oracle.
+
+Exhaustive comparisons cover every message at small shapes, intermediates
+included. Property tests then draw supported lengths up to 4096 and alphabets
+up to 300, always including the alphabets where the digit conversions change
+how many digits they handle per step (q**c <= 256), and check that encode
+matches the oracle, extract inverts it, every output is a codeword and
+distinct messages give distinct words.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from vtcodes import binary, qary, words
+from vtcodes.qary import QaryVtParams, _place_message, _prefill_aux, aux_sequence, encode, extract
+
+# Digits per conversion step: 5 at q = 3, 4 at q = 4, 2 at q = 15 and 16 (the
+# top of a byte-sized chunk), 1 from q = 17 on. 36/37 bracket int()'s largest
+# base and 256/257 the largest one-byte symbol.
+BOUNDARY_ALPHABETS = (3, 4, 15, 16, 17, 36, 37, 40, 64, 256, 257)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # the type is what gets compared
+        return type(exc)
+
+
+def supported(n):
+    return n >= 6 and (n - 1) & (n - 2) != 0
+
+
+@pytest.mark.parametrize("n,q", [(8, 4), (7, 3), (10, 5), (10, 8), (12, 4), (11, 3), (6, 4)])
+def test_every_message_matches_the_oracle(n, q):
+    for a, b in {(0, 0), (1, q - 1), (n // 2, 1), (n - 1, q // 2)}:
+        p = QaryVtParams(n, q, a, b)
+        for message in itertools.product((0, 1), repeat=p.k):
+            c = _place_message(message, p)
+            assert c == oracle._place_message(message, p)
+            assert _prefill_aux(c, p) == oracle._prefill_aux(c, p)
+            word = encode(message, p)
+            assert word == oracle.encode_q(message, p)
+            assert extract(word, p) == oracle.extract_q(word, p) == message
+
+
+@pytest.mark.parametrize("n,q", [(7, 4), (8, 3)])
+def test_extract_matches_the_oracle_on_every_codeword(n, q):
+    # most codewords are not encoder outputs, so the range checks get hit
+    for a, b in [(0, 0), (3, 2), (n - 1, q - 1)]:
+        p = QaryVtParams(n, q, a, b)
+        for word in itertools.product(range(q), repeat=n):
+            if qary._matches_code(word, n, q, a, b):
+                assert outcome(extract, word, p) == outcome(oracle.extract_q, word, p), word
+
+
+def test_free_positions_match_the_oracle():
+    for n in [*range(6, 600), 1023, 1024, 1026, 2048, 4000, 4096]:
+        if supported(n):
+            p = QaryVtParams(n, 4, 0, 0)
+            assert p.free_positions == oracle.free_positions(p), n
+
+
+def shapes(alphabets):
+    n = st.integers(7, 4096).filter(supported)
+    return st.tuples(n, alphabets).flatmap(
+        lambda nq: st.tuples(
+            st.just(nq),
+            st.integers(0, nq[0] - 1),
+            st.integers(0, nq[1] - 1),
+            st.integers(0, 2**32 - 1).map(random.Random),  # message draws
+        )
+    )
+
+
+def check_shape(case):
+    (n, q), a, b, rng = case
+    p = QaryVtParams(n, q, a, b)
+    message = tuple(rng.randrange(2) for _ in range(p.k))
+    word = encode(message, p)
+    assert word == oracle.encode_q(message, p)
+    # the oracle is slow at large n; the other messages check the properties
+    words_of = {message: word}
+    for other in [(0,) * p.k, (1,) * p.k, tuple(rng.randrange(2) for _ in range(p.k))]:
+        words_of[other] = encode(other, p)
+    for message, word in words_of.items():
+        assert p.is_member(word)
+        assert extract(word, p) == message
+    assert len(set(words_of.values())) == len(words_of)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(shapes(st.integers(3, 300)))
+def test_encoder_matches_the_oracle(case):
+    check_shape(case)
+
+
+@pytest.mark.parametrize("q", BOUNDARY_ALPHABETS)
+@settings(max_examples=3, deadline=None, database=None)
+@given(data=st.data())
+def test_encoder_matches_the_oracle_at_boundary_alphabets(q, data):
+    check_shape(data.draw(shapes(st.just(q))))
+
+
+CONVERSION_BASES = (2, 3, 4, 5, 7, 15, 16, 17, 36, 37, 40, 64, 255, 256, 257, 300)
+
+
+def test_bit_conversions_match_the_oracle():
+    for width in [0, 1, 2, 7, 8, 9, 64, 300]:
+        drawn = random.Random(width).getrandbits(width)
+        for value in {0, 1, (1 << width) - 1, 1 << width, -1, drawn}:
+            bits = outcome(words.int_to_bits, value, width)
+            assert bits == outcome(oracle.int_to_bits, value, width), (value, width)
+            if isinstance(bits, tuple):
+                assert words.bits_to_int(bits) == oracle.bits_to_int(bits) == value
+    for bad in [(0, 2), (1, -1), (True, 0), (0.0,), "01"]:
+        assert outcome(words.bits_to_int, bad) is outcome(oracle.bits_to_int, bad)
+
+
+@pytest.mark.parametrize("base", CONVERSION_BASES)
+def test_digit_conversions_match_the_oracle(base):
+    rng = random.Random(base)
+    for width in [0, 1, 2, 3, 4, 5, 8, 9, 100]:
+        top = base**width
+        for value in {0, 1, top - 1, top, -1, rng.randrange(top)}:
+            digits = outcome(words.int_to_digits, value, base, width)
+            assert digits == outcome(oracle.int_to_digits, value, base, width)
+            if isinstance(digits, tuple):
+                assert len(digits) == width
+                assert words.digits_to_int(digits, base) == value
+                assert oracle.digits_to_int(digits, base) == value
+    for bad in [(base,), (0, -1), (True,), (1.0,)]:
+        assert outcome(words.digits_to_int, bad, base) is outcome(oracle.digits_to_int, bad, base)
+
+
+def test_digits_to_int_with_one_digit_per_step():
+    # q = 40 converts one digit per step (40**2 > 256) and needs no table
+    assert words.digits_to_int((39, 0, 1), 40) == 39 * 1600 + 1
+    assert words.int_to_digits(39 * 1600 + 1, 40, 3) == (39, 0, 1)
+    p = QaryVtParams(20, 40, 3, 7)
+    message = tuple(random.Random(40).randrange(2) for _ in range(p.k))
+    assert extract(encode(message, p), p) == message
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(0, 8), min_size=2, max_size=40))
+def test_checksum_kernels_match_the_oracle(word):
+    n, q = len(word), max(word) + 1
+    bits = aux_sequence(word)
+    assert bits == tuple(int(y >= x) for x, y in zip(word, word[1:]))
+    assert binary._checksum(bits, n) == oracle._checksum(bits, n)
+    for a, b in [(0, 0), (binary._checksum(bits, n), sum(word) % q)]:
+        assert qary._matches_code(word, n, q, a, b) == oracle._matches_code(word, n, q, a, b)

@@ -20,8 +20,23 @@ from vtcodes.analysis import (
 from vtcodes.binary import BinaryVtParams
 from vtcodes.channel import ChannelEvent, TrialReport, run_trials
 from vtcodes.errors import CodecError, ParameterError
-from vtcodes.qary import PairTable, QaryVtParams, message_length, pair_table, step6_triple
-from vtcodes.words import check_bits, check_symbols, check_word, int_to_bits, int_to_digits
+from vtcodes.qary import (
+    PairTable,
+    QaryVtParams,
+    code_signature,
+    message_length,
+    mod_sum,
+    pair_table,
+    step6_triple,
+)
+from vtcodes.words import (
+    check_bits,
+    check_symbols,
+    check_word,
+    distinct_insertions,
+    int_to_bits,
+    int_to_digits,
+)
 
 NOT_INTS = [True, False, 3.0, "3", np.float64(3.0), np.True_]
 
@@ -135,3 +150,25 @@ def test_word_symbol_errors_name_the_first_bad_symbol():
         check_symbols((0, -1, -3))
     with pytest.raises(ParameterError, match="symbol 5 out of range"):
         check_word((0, 5, 7), 4)
+
+
+# Calls that take a word and an alphabet size q.
+ALPHABET_CALLS = [
+    check_word,
+    mod_sum,
+    code_signature,
+    lambda word, q: list(distinct_insertions(word, q)),
+]
+
+
+@pytest.mark.parametrize("call", ALPHABET_CALLS)
+def test_alphabet_size_accepts_numpy_integers(call):
+    word = (0, 3, 1, 2)
+    assert plain(call(word, np.int64(4))) == plain(call(word, 4))
+
+
+@pytest.mark.parametrize("call", ALPHABET_CALLS)
+@pytest.mark.parametrize("bad", [*NOT_INTS, 4.5, np.float64(4.0)])
+def test_alphabet_size_rejects_non_integers(call, bad):
+    with pytest.raises(ParameterError):
+        call((0, 3, 1, 2), bad)
