@@ -3,47 +3,34 @@ CSV/JSON report writers.
 
 Code sizes are counted by dynamic programming over word positions with
 Python ints, so every count is exact at any length: O(n^2) additions for the
-binary census and O(n^2 q^2) for the q-ary one. The limits (binary length
-<= BINARY_LENGTH_LIMIT, q-ary word count <= QARY_WORD_LIMIT by default) are
-kept as the API contract, and binary_codewords still lists words by brute
-force under its limit. Bounds use exact integer or rational arithmetic where
-possible, and real-valued rates are rounded to 6 decimal places in reports.
+binary census and O(n^2 q^2) for the q-ary one. binary_codewords walks the
+binary census's tables back from its residue, so its work follows its output.
+The limits (binary length <= BINARY_LENGTH_LIMIT, q-ary word count <=
+QARY_WORD_LIMIT by default) are kept as the API contract. Bounds use exact
+integer or rational arithmetic where possible, and real-valued rates are
+rounded to 6 decimal places in reports.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import deque
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-import numpy as np
-
 from .binary import BinaryVtParams
 from .errors import LimitExceededError, ParameterError
 from .qary import _code_shape, message_length
-from .words import check_int
+from .words import _text_bits, check_int
 
 BINARY_LENGTH_LIMIT = 20
 QARY_WORD_LIMIT = 1 << 24
-_CHUNK = 1 << 16
 
 CSV_COLUMNS = ("q", "n", "a", "b", "count", "size_lower", "size_upper")
-
-
-def _binary_checksums(n: int):
-    """Every length-n binary word, in integer order (bit i - 1 of the integer
-    is position i), as chunks of (integers, checksums mod n + 1)."""
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        x = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        syn = np.zeros(x.shape, dtype=np.int64)
-        for i in range(1, n + 1):
-            syn += i * ((x >> (i - 1)) & 1)
-        yield x, syn % (n + 1)
 
 
 def _check_binary_length(n: int, limit: int) -> int:
@@ -53,14 +40,20 @@ def _check_binary_length(n: int, limit: int) -> int:
     return n
 
 
+def _binary_prefix_counts(n: int):
+    """Yield counts_i for i = 0..n, where counts_i[s] counts the words over
+    positions 1..i with checksum s mod n + 1."""
+    counts = [1] + [0] * n
+    yield counts
+    for i in range(1, n + 1):
+        # position i adds i to every word holding a 1 there
+        counts = list(map(add, counts, counts[-i:] + counts[:-i]))
+        yield counts
+
+
 @lru_cache(maxsize=None)
 def _binary_census(n: int) -> tuple[int, ...]:
-    # counts[s]: words over the first i positions with checksum s mod n + 1;
-    # position i adds i to every word holding a 1 there
-    counts = [1] + [0] * n
-    for i in range(1, n + 1):
-        counts = list(map(add, counts, counts[-i:] + counts[:-i]))
-    return tuple(counts)
+    return tuple(deque(_binary_prefix_counts(n), maxlen=1)[0])
 
 
 def binary_census(n: int, limit: int = BINARY_LENGTH_LIMIT) -> tuple[int, ...]:
@@ -83,12 +76,22 @@ def binary_codewords(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> list[t
     n = _check_binary_length(n, limit)
     if not 0 <= a <= n:
         raise ParameterError(f"a must lie in 0..{n}, got {a}")
-    out = []
-    for x, syn in _binary_checksums(n):
-        for v in x[syn == a]:
-            v = int(v)
-            out.append(tuple((v >> i) & 1 for i in range(n)))
-    return out
+    tables = list(_binary_prefix_counts(n))
+    # Fix positions n..1 in turn, bit 0 before bit 1, so the words stay in
+    # integer order. (owed, v) holds the checksum positions 1..i still owe and
+    # the bits fixed so far, position j at bit n - j of v; a bit is kept only
+    # where some word over the lower positions pays what is then owed.
+    partial = [(a, 0)]
+    for i in range(n, 0, -1):
+        below, bit, grown = tables[i - 1], 1 << (n - i), []
+        for owed, v in partial:
+            if below[owed]:
+                grown.append((owed, v))
+            owed = (owed - i) % (n + 1)
+            if below[owed]:
+                grown.append((owed, v | bit))
+        partial = grown
+    return [_text_bits(format(v, f"0{n}b")) for _, v in partial]
 
 
 def _check_qary_shape(n: int, q: int, limit: int) -> tuple[int, int]:

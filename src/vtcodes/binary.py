@@ -214,6 +214,7 @@ def validate_syndrome_positions(n: int, positions: Iterable[int]) -> bool:
     positions. Positions must be distinct and lie in 1..n; the dyadic layout
     used by encode() always qualifies.
     """
+    n = check_int(n, "n", 1)
     pos = check_symbols(positions)
     if not pos:
         raise ParameterError("at least one position is required")

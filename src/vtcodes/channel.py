@@ -1,23 +1,23 @@
 """Single-edit channel events and seeded end-to-end correction trials.
 
 Each trial runs encode -> corrupt -> correct -> extract and succeeds when the
-extracted bits equal the original message. Trial i draws from a random
-stream derived from (seed, i), so runs are reproducible for a given seed and
-order-independent across workers.
+extracted bits equal the original message. Trial i draws from a stdlib
+random.Random seeded with the Cantor pairing of (seed, i), which is injective,
+so runs are reproducible for a given seed and order-independent across
+workers.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Union
 
-import numpy as np
-
 from .binary import BinaryVtParams
 from .errors import ParameterError, UnsupportedParametersError, VtCodeError
 from .qary import QaryVtParams
-from .words import Word, check_int, check_symbols, format_bitstring
+from .words import Word, _text_bits, check_int, check_symbols, format_bitstring
 
 EVENT_KINDS = ("deletion", "insertion", "identity")
 CHANNEL_KINDS = ("deletion", "insertion", "mixed", "identity")
@@ -143,19 +143,15 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
     successes = 0
     failures: list[TrialFailure] = []
     for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        message = tuple(int(x) for x in rng.integers(0, 2, size=k))
+        rng = random.Random((seed + i) * (seed + i + 1) // 2 + i)
+        message = _text_bits(format(rng.getrandbits(k), f"0{k}b")) if k else ()
         kind = channel_kind
         if kind == "mixed":
-            kind = "deletion" if int(rng.integers(0, 2)) == 0 else "insertion"
+            kind = "insertion" if rng.getrandbits(1) else "deletion"
         if kind == "deletion":
-            event = ChannelEvent("deletion", position=int(rng.integers(0, n)))
+            event = ChannelEvent("deletion", position=rng.randrange(n))
         elif kind == "insertion":
-            event = ChannelEvent(
-                "insertion",
-                position=int(rng.integers(0, n + 1)),
-                symbol=int(rng.integers(0, q)),
-            )
+            event = ChannelEvent("insertion", position=rng.randrange(n + 1), symbol=rng.randrange(q))
         else:
             event = ChannelEvent("identity")
         try:
@@ -169,7 +165,6 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
         else:
             failures.append(TrialFailure(i, message, event, "extracted message differs"))
     wall = time.perf_counter() - start
-    failures.sort(key=lambda f: f.trial)
     return TrialReport(
         params=params,
         channel=channel_kind,

@@ -5,9 +5,10 @@ kept so the differential tests can check the fast versions against them.
   decoders. Each one enumerates every distinct word one edit away from the
   received word and keeps those in the code, so it costs O(n^2 * q); the
   decoders must match them, result and exception type alike.
-- The brute-force censuses the library used before its dynamic programmes.
-  Each one walks all q^n words in numpy chunks, so they are only usable for
-  small word spaces; the censuses must match them count for count.
+- The brute-force censuses and binary codeword listing the library used
+  before its dynamic programmes. Each one walks all q^n words in numpy
+  chunks, so they are only usable for small word spaces; the censuses must
+  match them count for count, and the listing word for word, in order.
 - The per-symbol loops the library used before its linear-time encoder and
   extractor: the weighted checksums, the q-ary layout (free positions,
   message placement, auxiliary prefill, completion, encode, extract) and
@@ -19,7 +20,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from vtcodes.analysis import _CHUNK, _binary_checksums
 from vtcodes.binary import BinaryVtParams
 from vtcodes.errors import (
     AmbiguousCorrectionError,
@@ -48,6 +48,20 @@ from vtcodes.words import (
     distinct_deletions,
     distinct_insertions,
 )
+
+_CHUNK = 1 << 16
+
+
+def _binary_checksums(n: int):
+    """Every length-n binary word, in integer order (bit i - 1 of the integer
+    is position i), as chunks of (integers, checksums mod n + 1)."""
+    total = 1 << n
+    for start in range(0, total, _CHUNK):
+        x = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        syn = np.zeros(x.shape, dtype=np.int64)
+        for i in range(1, n + 1):
+            syn += i * ((x >> (i - 1)) & 1)
+        yield x, syn % (n + 1)
 
 
 def correct_binary(received: Iterable[int], params: BinaryVtParams) -> Word:
@@ -113,6 +127,15 @@ def binary_census(n: int) -> tuple[int, ...]:
     for _, syn in _binary_checksums(n):
         counts += np.bincount(syn, minlength=n + 1)
     return tuple(int(c) for c in counts)
+
+
+def binary_codewords(n: int, a: int) -> list[tuple[int, ...]]:
+    out = []
+    for x, syn in _binary_checksums(n):
+        for v in x[syn == a]:
+            v = int(v)
+            out.append(tuple((v >> i) & 1 for i in range(n)))
+    return out
 
 
 def qary_census(n: int, q: int) -> tuple[tuple[int, ...], ...]:

@@ -34,6 +34,15 @@ def test_binary_census_matches_brute_force():
         assert binary_census(n) == oracle.binary_census(n)
 
 
+LISTING_CASES = [(n, a) for n in range(1, 17) for a in range(n + 1)]
+LISTING_CASES += [(n, a) for n in (18, 20) for a in (0, 7, n)]
+
+
+@pytest.mark.parametrize("n, a", LISTING_CASES)
+def test_binary_codewords_match_brute_force(n, a):
+    assert analysis.binary_codewords(n, a) == oracle.binary_codewords(n, a)
+
+
 @pytest.mark.parametrize("n, q", [(16, 3), (32, 3), (32, 4), (32, 5), (64, 8), (48, 7)])
 def test_qary_counts_meet_constructive_lower_bound_at_scale(n, q):
     grid = qary_census(n, q, limit=q**n)
@@ -62,7 +71,7 @@ def no_census(monkeypatch):
 
     monkeypatch.setattr(analysis, "_binary_census", fail)
     monkeypatch.setattr(analysis, "_qary_census", fail)
-    monkeypatch.setattr(analysis, "_binary_checksums", fail)
+    monkeypatch.setattr(analysis, "_binary_prefix_counts", fail)
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,19 @@ def test_run_trials_is_reproducible():
     assert r3.successes == 64
 
 
+def test_trial_draws_depend_only_on_seed_and_index(monkeypatch):
+    # every trial fails, so failure_cases records each trial's draws
+    monkeypatch.setattr(QaryVtParams, "extract", lambda self, word: ())
+    p = QaryVtParams(n=16, q=8, a=0, b=1)
+    for seed in (0, 3):
+        short = run_trials(p, "mixed", 8, seed).failure_cases
+        assert short == run_trials(p, "mixed", 16, seed).failure_cases[:8]
+    # a seeding of seed + i would give both of these the same draws
+    first = run_trials(p, "mixed", 2, 0).failure_cases[1]
+    other = run_trials(p, "mixed", 1, 1).failure_cases[0]
+    assert (first.message, first.event) != (other.message, other.event)
+
+
 def test_run_trials_argument_validation():
     p = BinaryVtParams(n=7, a=0)
     with pytest.raises(ParameterError):

@@ -1,6 +1,14 @@
-"""The package root re-exports the whole public surface."""
+"""The package root re-exports the whole public surface, and importing it
+with the CLI leaves numpy unloaded."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import vtcodes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_all_names_resolve():
@@ -26,3 +34,9 @@ def test_core_callables_present():
         "run_trials",
     ):
         assert callable(getattr(vtcodes, name))
+
+
+def test_import_leaves_numpy_unloaded():
+    code = 'import vtcodes, vtcodes.cli, sys; sys.exit("numpy" in sys.modules)'
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

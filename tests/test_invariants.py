@@ -92,6 +92,7 @@ INT_CALLS = [
     (lambda trials, seed: run_trials(QaryVtParams(16, 8, 0, 1), "mixed", trials, seed), (3, 0)),
     (lambda p: ChannelEvent("deletion", position=p), (2,)),
     (lambda s: ChannelEvent("insertion", position=0, symbol=s), (2,)),
+    (lambda n: binary.validate_syndrome_positions(n, (1, 2)), (3,)),
 ]
 
 
