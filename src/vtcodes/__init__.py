@@ -41,7 +41,6 @@ from .binary import (
 )
 from .channel import ChannelEvent, TrialFailure, TrialReport, apply_channel, run_trials
 from .errors import (
-    AmbiguousCorrectionError,
     CodecError,
     ExtractionError,
     LimitExceededError,
@@ -69,7 +68,6 @@ from .qary import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousCorrectionError",
     "BinaryVtParams",
     "ChannelEvent",
     "CodeCensus",

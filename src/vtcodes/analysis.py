@@ -6,9 +6,12 @@ Python ints, so every count is exact at any length: O(n^2) additions for the
 binary census and O(n^2 q^2) for the q-ary one. binary_codewords walks the
 binary census's tables back from its residue, so its work follows its output.
 The limits (binary length <= BINARY_LENGTH_LIMIT, q-ary word count <=
-QARY_WORD_LIMIT by default) are kept as the API contract. Bounds use exact
-integer or rational arithmetic where possible, and real-valued rates are
-rounded to 6 decimal places in reports.
+QARY_WORD_LIMIT by default) are kept as the API contract. The constructive
+lower bound is the product of the encoder's message slot sizes
+(qary._slot_sizes), the count the encoder's rate is read from. Bounds use
+exact integer or rational arithmetic where possible; a bound reported as a
+float is refused with ParameterError where it leaves the float range, and
+rounded() rounds every float in a report to 6 decimal places.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ import csv
 import io
 from collections import deque
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
 from .binary import BinaryVtParams
 from .errors import LimitExceededError, ParameterError
-from .qary import _code_shape, message_length
-from .words import _text_bits, check_int
+from .qary import _code_shape, _slot_sizes, message_length
+from .words import _text_bits, check_int, check_residue
 
 BINARY_LENGTH_LIMIT = 20
 QARY_WORD_LIMIT = 1 << 24
@@ -65,8 +68,7 @@ def binary_census(n: int, limit: int = BINARY_LENGTH_LIMIT) -> tuple[int, ...]:
 def enumerate_binary(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> int:
     """Exact size of the binary code with residue a."""
     n = _check_binary_length(n, limit)
-    if not 0 <= a <= n:
-        raise ParameterError(f"a must lie in 0..{n}, got {a}")
+    a = check_residue(a, "a", n + 1)
     return _binary_census(n)[a]
 
 
@@ -74,8 +76,7 @@ def binary_codewords(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> list[t
     """Every codeword of the binary code with residue a, in integer order
     (bit i of the integer is position i + 1)."""
     n = _check_binary_length(n, limit)
-    if not 0 <= a <= n:
-        raise ParameterError(f"a must lie in 0..{n}, got {a}")
+    a = check_residue(a, "a", n + 1)
     tables = list(_binary_prefix_counts(n))
     # Fix positions n..1 in turn, bit 0 before bit 1, so the words stay in
     # integer order. (owed, v) holds the checksum positions 1..i still owe and
@@ -137,10 +138,7 @@ def qary_census(n: int, q: int, limit: int = QARY_WORD_LIMIT) -> tuple[tuple[int
 def enumerate_q(n: int, q: int, a: int, b: int, limit: int = QARY_WORD_LIMIT) -> int:
     """Exact size of the q-ary code with residues (a, b)."""
     n, q = _check_qary_shape(n, q, limit)
-    if not 0 <= a < n:
-        raise ParameterError(f"a must lie in 0..{n - 1}, got {a}")
-    if not 0 <= b < q:
-        raise ParameterError(f"b must lie in 0..{q - 1}, got {b}")
+    a, b = check_residue(a, "a", n), check_residue(b, "b", q)
     return _qary_census(n, q)[a][b]
 
 
@@ -149,13 +147,10 @@ def qary_size_lower_bound(n: int, q: int) -> int:
 
     Counts the codewords reachable by freely choosing whole symbols in the
     encoder's message slots: (q-1)^(2t-5) * q^(n-3t+3) for q >= 4, and
-    2^(2(t-3)) * 3^(n-3t+3) for q = 3, with t = ceil(log2 n).
+    2^(2(t-3)) * 3^(n-3t+3) for q = 3, with t = ceil(log2 n): the product
+    of the slot sizes.
     """
-    n, q, t = _code_shape(n, q)
-    free = n - 3 * t + 3
-    if q == 3:
-        return (1 << (2 * (t - 3))) * 3**free
-    return (q - 1) ** (2 * t - 5) * q**free
+    return math.prod(_slot_sizes(n, q))
 
 
 def single_deletion_size_bound(n: int, q: int) -> Fraction:
@@ -170,9 +165,18 @@ def binary_size_bounds(n: int) -> tuple[float, float]:
     """Size window 2^n/(n+1) -/+ 2^((n+1)/3) that every binary code of
     length n falls in."""
     n = check_int(n, "n", 1)
-    center = (1 << n) / (n + 1)
+    center = float_bound(Fraction(1 << n, n + 1), n, 2)
     slack = 2.0 ** ((n + 1) / 3)
     return (center - slack, center + slack)
+
+
+def float_bound(bound: int | Fraction, n: int, q: int) -> float:
+    """A size bound of the (n, q) shape as a float; ParameterError where it
+    leaves the float range."""
+    try:
+        return float(bound)
+    except OverflowError:
+        raise ParameterError(f"size bounds at (n={n}, q={q}) exceed the float range") from None
 
 
 def binary_size_within_bounds(n: int, count: int) -> bool:
@@ -200,19 +204,7 @@ class RateReport:
     encoder_rate_floor: float | None
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "q": self.q,
-            "k": self.k,
-            "encoder_rate": round(self.encoder_rate, 6),
-            "smallest_code_rate_bound": round(self.smallest_code_rate_bound, 6),
-            "single_deletion_rate_bound": round(self.single_deletion_rate_bound, 6),
-            "construction_rate": round(self.construction_rate, 6),
-            "encoder_rate_floor": None
-            if self.encoder_rate_floor is None
-            else round(self.encoder_rate_floor, 6),
-        }
-        return out
+        return rounded(asdict(self))
 
 
 def rate_bounds(n: int, q: int) -> RateReport:
@@ -246,11 +238,14 @@ def binary_rates(n: int) -> dict:
     encoder_rate k/n, and smallest_code_rate_bound 1 - log2(n + 1)/n, the
     pigeonhole bound on the smallest of the n + 1 codes."""
     k = BinaryVtParams(n, 0).k
-    return {
-        "k": k,
-        "encoder_rate": round(k / n, 6),
-        "smallest_code_rate_bound": round(1 - math.log2(n + 1) / n, 6),
-    }
+    return rounded(
+        {"k": k, "encoder_rate": k / n, "smallest_code_rate_bound": 1 - math.log2(n + 1) / n}
+    )
+
+
+def rounded(report: dict) -> dict:
+    """The report with every float value rounded to 6 decimal places."""
+    return {key: round(v, 6) if isinstance(v, float) else v for key, v in report.items()}
 
 
 @dataclass(frozen=True)
@@ -267,15 +262,16 @@ class CodeCensus:
     size_upper: float | int | None
 
 
-def _check_residues(n: int, q: int, a: int | None, b: int | None) -> None:
-    """Refuse a filter residue that names no code of the (n, q) shape."""
-    if a is not None and a not in range(n + 1 if q == 2 else n):
-        raise ParameterError(f"a={a} is out of range for n={n}")
+def _check_residues(n: int, q: int, a: int | None, b: int | None) -> tuple:
+    """The filter residues as plain ints (or None); refuses one that names no
+    code of the (n, q) shape."""
+    if a is not None:
+        a = check_residue(a, "a", n + 1 if q == 2 else n)
     if b is not None:
         if q == 2:
             raise ParameterError("b applies to alphabets with q >= 3 only")
-        if b not in range(q):
-            raise ParameterError(f"b={b} is out of range for q={q}")
+        b = check_residue(b, "b", q)
+    return a, b
 
 
 def census_rows(
@@ -297,7 +293,7 @@ def census_rows(
     q = check_int(q, "q", 2)
     if q == 2:
         n = _check_binary_length(n, BINARY_LENGTH_LIMIT if limit is None else limit)
-        _check_residues(n, q, a, b)
+        a, b = _check_residues(n, q, a, b)
         lo, hi = binary_size_bounds(n)
         rows = [
             CodeCensus(q=2, n=n, a=r, b=None, count=c, size_lower=lo, size_upper=hi)
@@ -305,13 +301,13 @@ def census_rows(
         ]
     else:
         n, q = _check_qary_shape(n, q, QARY_WORD_LIMIT if limit is None else limit)
-        _check_residues(n, q, a, b)
-        grid = _qary_census(n, q)
+        a, b = _check_residues(n, q, a, b)
+        upper = float_bound(single_deletion_size_bound(n, q), n, q)
         try:
             lower = qary_size_lower_bound(n, q)
         except ParameterError:
             lower = None
-        upper = float(single_deletion_size_bound(n, q))
+        grid = _qary_census(n, q)
         rows = [
             CodeCensus(
                 q=q, n=n, a=ra, b=rb, count=grid[ra][rb], size_lower=lower, size_upper=upper
@@ -345,11 +341,6 @@ def census_csv(rows: list[CodeCensus]) -> str:
 def rows_report(rows: list[CodeCensus]) -> dict:
     """JSON-ready report of census rows from one (n, q) shape: parameters,
     counts, bounds, rates. Bounds and rates describe the whole shape."""
-    def as_number(value):
-        if isinstance(value, float):
-            return round(value, 6)
-        return value
-
     first = rows[0]
     n, q = first.n, first.q
     if q == 2:
@@ -362,10 +353,7 @@ def rows_report(rows: list[CodeCensus]) -> dict:
     return {
         "parameters": {"q": q, "n": n},
         "counts": [{"a": r.a, "b": r.b, "count": r.count} for r in rows],
-        "bounds": {
-            "size_lower": as_number(first.size_lower),
-            "size_upper": as_number(first.size_upper),
-        },
+        "bounds": rounded({"size_lower": first.size_lower, "size_upper": first.size_upper}),
         "rates": rates,
     }
 

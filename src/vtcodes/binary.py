@@ -21,7 +21,7 @@ from .errors import (
     NotACodewordError,
     ParameterError,
 )
-from .words import Word, check_bits, check_int, check_symbols
+from .words import Word, check_bits, check_int, check_residue, check_symbols
 
 
 def _checksum(bits: Sequence[int], modulus: int) -> int:
@@ -44,12 +44,8 @@ class BinaryVtParams:
     a: int
 
     def __post_init__(self) -> None:
-        for name in ("n", "a"):
-            object.__setattr__(self, name, check_int(getattr(self, name), name))
-        if self.n < 1:
-            raise ParameterError(f"n must be at least 1, got {self.n}")
-        if not 0 <= self.a <= self.n:
-            raise ParameterError(f"a must lie in 0..{self.n}, got {self.a}")
+        object.__setattr__(self, "n", check_int(self.n, "n", 1))
+        object.__setattr__(self, "a", check_residue(self.a, "a", self.n + 1))
 
     @property
     def q(self) -> int:

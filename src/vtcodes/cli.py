@@ -68,20 +68,16 @@ def _cmd_bounds(args):
     n, q = args.n, args.q
     if q == 2:
         lo, hi = analysis.binary_size_bounds(n)
-        payload = {
-            "q": 2,
-            "n": n,
-            **analysis.binary_rates(n),
-            "size_lower": round(lo, 6),
-            "size_upper": round(hi, 6),
-        }
+        payload = {"q": 2, "n": n, **analysis.binary_rates(n), "size_lower": lo, "size_upper": hi}
     else:
-        report = analysis.rate_bounds(n, q)
-        payload = report.to_dict()
-        payload["size_lower_bound"] = analysis.qary_size_lower_bound(n, q)
-        payload["single_deletion_size_bound"] = round(
-            float(analysis.single_deletion_size_bound(n, q)), 6
-        )
+        payload = {
+            **analysis.rate_bounds(n, q).to_dict(),
+            "size_lower_bound": analysis.qary_size_lower_bound(n, q),
+            "single_deletion_size_bound": analysis.float_bound(
+                analysis.single_deletion_size_bound(n, q), n, q
+            ),
+        }
+    payload = analysis.rounded(payload)
     text = "\n".join(
         f"{key} = {value}" for key, value in payload.items() if value is not None
     )

@@ -3,7 +3,8 @@
 Parameter problems (bad arguments, unsupported code shapes) subclass
 ValueError so they behave normally with argparse and plain scripts; codec
 failures (uncorrectable or malformed words) form a separate branch so callers
-can tell user error from channel damage.
+can tell user error from channel damage. Single-edit correction in these
+codes has a unique answer, so no error reports an ambiguous one.
 """
 
 
@@ -41,15 +42,6 @@ class NotACodewordError(CodecError):
 
 class NoCandidateError(CodecError):
     """No codeword is reachable from the received word by one edit."""
-
-
-class AmbiguousCorrectionError(CodecError):
-    """More than one codeword matched during correction.
-
-    Single-edit correction inside one of these codes has a unique answer, and
-    the library decoders locate it directly, so they never raise this. It is
-    kept for API compatibility and for the candidate-search test oracle.
-    """
 
 
 class ExtractionError(CodecError):

@@ -43,6 +43,7 @@ from .words import (
     _value_digits,
     check_bits,
     check_int,
+    check_residue,
     check_symbols,
     check_word,
 )
@@ -96,18 +97,23 @@ def _code_shape(n: int, q: int) -> tuple[int, int, int]:
     return n, q, (n - 1).bit_length()
 
 
-def message_length(n: int, q: int) -> int:
-    """Message bits carried by the systematic encoder at length n, alphabet q.
-
-    Counts the free-position block, one constrained-pair block per reserved
-    power of two above 4, and (for q >= 4) the lone constrained symbol next
-    to position 4. May be 0 for the smallest shapes, e.g. (n=6, q=3).
+def _slot_sizes(n: int, q: int) -> tuple[int, ...]:
+    """How many values each message slot of the encoder can take at length
+    n, alphabet q: the free block of n - 3t + 3 symbols, one constrained pair
+    per reserved power of two above 4, and (for q >= 4) the lone constrained
+    symbol in position 5. Each slot carries floor(log2) of its size in bits.
     """
     n, q, t = _code_shape(n, q)
-    free = n - 3 * t + 3
-    if q == 3:
-        return _ilog2(3**free) + 2 * (t - 3)
-    return _ilog2(q**free) + (t - 3) * _ilog2((q - 1) ** 2) + _ilog2(q - 1)
+    single = (q - 1,) if q > 3 else ()  # q = 3 pins position 5 to 2
+    return (q ** (n - 3 * t + 3),) + ((q - 1) ** 2,) * (t - 3) + single
+
+
+def message_length(n: int, q: int) -> int:
+    """Message bits carried by the systematic encoder at length n, alphabet q:
+    the bits of every slot (see _slot_sizes) added up. May be 0 for the
+    smallest shapes, e.g. (n=6, q=3).
+    """
+    return sum(map(_ilog2, _slot_sizes(n, q)))
 
 
 class PairTable:
@@ -143,21 +149,11 @@ class PairTable:
         """Message bits in the position-5 symbol: floor(log2(q-1))."""
         return _ilog2(self.q - 1)
 
-    def pair(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < len(self.pairs):
-            raise ParameterError(f"pair index {index} out of range 0..{len(self.pairs) - 1}")
-        return self.pairs[index]
-
     def pair_index(self, pair: tuple[int, int]) -> int:
         try:
             return self._pair_index[tuple(pair)]
         except KeyError:
             raise ParameterError(f"{pair!r} is not a valid constrained pair for q={self.q}") from None
-
-    def single(self, index: int) -> int:
-        if not 0 <= index < len(self.singles):
-            raise ParameterError(f"value index {index} out of range 0..{len(self.singles) - 1}")
-        return self.singles[index]
 
     def single_index(self, value: int) -> int:
         try:
@@ -172,16 +168,6 @@ def pair_table(q: int) -> PairTable:
     return PairTable(q)
 
 
-def canonical_pair(q: int, index: int) -> tuple[int, int]:
-    """The index-th constrained pair, in lexicographic order."""
-    return pair_table(q).pair(index)
-
-
-def canonical_pair_index(q: int, pair: tuple[int, int]) -> int:
-    """Position of a constrained pair in the canonical ordering."""
-    return pair_table(q).pair_index(pair)
-
-
 @dataclass(frozen=True)
 class QaryVtParams:
     """Code shape: length n >= 6, alphabet q >= 3, and the two target
@@ -194,13 +180,11 @@ class QaryVtParams:
     b: int
 
     def __post_init__(self) -> None:
-        for name in ("n", "q", "a", "b"):
+        for name in ("n", "q"):
             object.__setattr__(self, name, check_int(getattr(self, name), name))
         _code_shape(self.n, self.q)
-        if not 0 <= self.a < self.n:
-            raise ParameterError(f"a must lie in 0..{self.n - 1}, got {self.a}")
-        if not 0 <= self.b < self.q:
-            raise ParameterError(f"b must lie in 0..{self.q - 1}, got {self.b}")
+        object.__setattr__(self, "a", check_residue(self.a, "a", self.n))
+        object.__setattr__(self, "b", check_residue(self.b, "b", self.q))
 
     @property
     def t(self) -> int:
@@ -236,7 +220,7 @@ class QaryVtParams:
     @cached_property
     def _free_bits(self) -> int:
         """Message bits in the free block: floor(log2(q ** free count))."""
-        return _ilog2(self.q ** len(self.free_positions))
+        return _ilog2(_slot_sizes(self.n, self.q)[0])
 
     def encode(self, message: Iterable[int]) -> Word:
         return encode(message, self)
@@ -275,9 +259,7 @@ def step6_triple(w: int, q: int) -> tuple[int, int, int]:
     in the top symbol q - 1 instead.
     """
     q = check_int(q, "alphabet size", 4)
-    w = check_int(w, "target residue")
-    if not 0 <= w < q:
-        raise ParameterError(f"target residue must lie in 0..{q - 1}, got {w!r}")
+    w = check_residue(w, "target residue", q)
     if w == 1:
         return (0, 2, q - 1)
     if w == 2:
@@ -318,13 +300,13 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
         for run in params._free_runs:
             c[run.start : run.stop] = islice(digits, len(run))
     for left, right in params.pair_positions[1:]:
-        c[left], c[right] = table.pair(int(text[used : used + table.pair_bits], 2))
+        c[left], c[right] = table.pairs[int(text[used : used + table.pair_bits], 2)]
         used += table.pair_bits
     if q == 3:
         c[3], c[5] = 2, 2
     else:
         c[3] = q - 1
-        c[5] = table.single(int(text[used : used + table.single_bits], 2))
+        c[5] = table.singles[int(text[used : used + table.single_bits], 2)]
         used += table.single_bits
     if used != len(bits):
         raise CodecError(f"message layout used {used} of {len(bits)} bits")

@@ -1,5 +1,5 @@
-"""Shared word handling: validation, text formats, block conversions, and
-duplicate-free single-edit neighbourhoods.
+"""Shared word handling: validation of integer arguments, residues and
+words, text formats, and block conversions.
 
 Serialization conventions used throughout the package and the CLI: a bit
 sequence is a contiguous string of '0'/'1' characters with the lowest index
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParameterError
 
@@ -45,6 +45,15 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
         kind = "an int" if minimum is None else f"an int >= {minimum}"
         raise ParameterError(f"{name} must be {kind}, got {value!r}")
     return out
+
+
+def check_residue(value, name: str, modulus: int) -> int:
+    """A residue argument as a plain int in 0..modulus-1; refused like any
+    other integer argument when it is not an int (see check_int)."""
+    value = check_int(value, name)
+    if not 0 <= value < modulus:
+        raise ParameterError(f"{name} must lie in 0..{modulus - 1}, got {value}")
+    return value
 
 
 def check_symbols(word: Iterable[int]) -> Word:
@@ -181,29 +190,3 @@ def _digits_value(digits: Sequence[int], base: int) -> int:
         value = value * chunk + d
     return value
 
-
-def distinct_deletions(word: Word) -> Iterator[Word]:
-    """Every word reachable by deleting one symbol, each yielded exactly once.
-
-    Deleting any symbol of a run produces the same word, so only the first
-    position of each run is used.
-    """
-    for i, s in enumerate(word):
-        if i and s == word[i - 1]:
-            continue
-        yield word[:i] + word[i + 1 :]
-
-
-def distinct_insertions(word: Word, q: int) -> Iterator[Word]:
-    """Every word reachable by inserting one symbol from {0, .., q-1}, each
-    yielded exactly once.
-
-    Inserting s directly before an existing s duplicates the insertion one
-    step later, so those positions are skipped.
-    """
-    q = check_int(q, "alphabet size")
-    for i in range(len(word) + 1):
-        for s in range(q):
-            if i < len(word) and word[i] == s:
-                continue
-            yield word[:i] + (s,) + word[i:]

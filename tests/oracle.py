@@ -14,15 +14,20 @@ kept so the differential tests can check the fast versions against them.
   message placement, auxiliary prefill, completion, encode, extract) and
   the bit and digit conversions. The library must match them word for word
   and raise the same exception types.
+- The paper's closed form of the constructive q-ary size lower bound, which
+  the library computes as the product of the encoder's slot sizes.
+
+The duplicate-free single-edit neighbourhoods and the error for an
+ambiguous correction live here too: only the candidate search and the tests
+use them.
 """
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from vtcodes.binary import BinaryVtParams
 from vtcodes.errors import (
-    AmbiguousCorrectionError,
     CodecError,
     ExtractionError,
     MessageLengthError,
@@ -33,6 +38,7 @@ from vtcodes.errors import (
 )
 from vtcodes.qary import (
     QaryVtParams,
+    _code_shape,
     _finish_prefix_q3,
     _ilog2,
     arrange_prefix,
@@ -45,11 +51,42 @@ from vtcodes.words import (
     check_bits,
     check_int,
     check_word,
-    distinct_deletions,
-    distinct_insertions,
 )
 
 _CHUNK = 1 << 16
+
+
+class AmbiguousCorrectionError(CodecError):
+    """More than one codeword lies one edit from the received word. The
+    codes correct any single edit, so the candidate search never raises it
+    on a well-formed code."""
+
+
+def distinct_deletions(word: Word) -> Iterator[Word]:
+    """Every word reachable by deleting one symbol, each yielded exactly once.
+
+    Deleting any symbol of a run produces the same word, so only the first
+    position of each run is used.
+    """
+    for i, s in enumerate(word):
+        if i and s == word[i - 1]:
+            continue
+        yield word[:i] + word[i + 1 :]
+
+
+def distinct_insertions(word: Word, q: int) -> Iterator[Word]:
+    """Every word reachable by inserting one symbol from {0, .., q-1}, each
+    yielded exactly once.
+
+    Inserting s directly before an existing s duplicates the insertion one
+    step later, so those positions are skipped.
+    """
+    q = check_int(q, "alphabet size")
+    for i in range(len(word) + 1):
+        for s in range(q):
+            if i < len(word) and word[i] == s:
+                continue
+            yield word[:i] + (s,) + word[i:]
 
 
 def _binary_checksums(n: int):
@@ -155,6 +192,16 @@ def qary_census(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in row) for row in grid)
 
 
+def qary_size_lower_bound(n: int, q: int) -> int:
+    """(q-1)^(2t-5) * q^(n-3t+3) for q >= 4 and 2^(2(t-3)) * 3^(n-3t+3) for
+    q = 3, with t = ceil(log2 n)."""
+    n, q, t = _code_shape(n, q)
+    free = n - 3 * t + 3
+    if q == 3:
+        return (1 << (2 * (t - 3))) * 3**free
+    return (q - 1) ** (2 * t - 5) * q**free
+
+
 def free_positions(params: QaryVtParams) -> Word:
     """Positions that carry plain base-q message symbols."""
     reserved = set(params.dyadic_positions)
@@ -206,14 +253,14 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
     for left, right in params.pair_positions[1:]:
         idx = bits_to_int(bits[used : used + table.pair_bits])
         used += table.pair_bits
-        c[left], c[right] = table.pair(idx)
+        c[left], c[right] = table.pairs[idx]
     if q == 3:
         c[3], c[5] = 2, 2
     else:
         c[3] = q - 1
         idx = bits_to_int(bits[used : used + table.single_bits])
         used += table.single_bits
-        c[5] = table.single(idx)
+        c[5] = table.singles[idx]
     if used != len(bits):
         raise CodecError(f"message layout used {used} of {len(bits)} bits")
     return c

@@ -24,7 +24,9 @@ from vtcodes.analysis import (
 from vtcodes.binary import BinaryVtParams
 from vtcodes.channel import run_trials
 from vtcodes.qary import QaryVtParams, aux_sequence, code_signature, message_length, mod_sum
-from vtcodes.words import distinct_deletions, distinct_insertions, parse_bitstring
+from vtcodes.words import parse_bitstring
+
+from oracle import distinct_deletions, distinct_insertions
 
 REF_PARAMS = dict(n=16, q=8, a=0, b=1)
 REF_MESSAGE = "1100010001110101010001001011"

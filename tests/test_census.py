@@ -8,6 +8,8 @@ import oracle
 from vtcodes import analysis
 from vtcodes.analysis import (
     binary_census,
+    binary_rates,
+    binary_size_bounds,
     binary_size_within_bounds,
     census_report,
     census_rows,
@@ -15,9 +17,11 @@ from vtcodes.analysis import (
     enumerate_q,
     qary_census,
     qary_size_lower_bound,
+    rate_bounds,
 )
 from vtcodes.cli import EXIT_USAGE, main
 from vtcodes.errors import ParameterError
+from vtcodes.qary import message_length
 
 # every q-ary shape with q in 3..8, n >= 2 and at most 2**20 words, which
 # includes lengths the encoder refuses (n < 6, n = 2**m + 1)
@@ -97,3 +101,27 @@ def test_out_of_range_residue_is_refused_before_counting(no_census, call):
 def test_cli_refuses_out_of_range_residue_before_counting(no_census, capsys):
     assert main(["enumerate", "--q", "2", "--n", "20", "--a", "99"]) == EXIT_USAGE
     assert main(["enumerate", "--q", "4", "--n", "12", "--b", "4"]) == EXIT_USAGE
+
+
+# Shapes whose size bounds leave the float range while their rates compute.
+FLOAT_RANGE_SHAPES = [(1100, 2), (1000, 4), (130, 256)]
+
+
+@pytest.mark.parametrize("n, q", FLOAT_RANGE_SHAPES)
+def test_size_bounds_past_the_float_range_are_refused(no_census, n, q):
+    with pytest.raises(ParameterError, match=rf"\(n={n}, q={q}\) exceed the float range"):
+        census_rows(n, q, limit=n if q == 2 else q**n)
+    if q == 2:
+        with pytest.raises(ParameterError, match="float range"):
+            binary_size_bounds(n)
+        assert binary_rates(n)["k"] == n - n.bit_length()
+    else:
+        assert rate_bounds(n, q).k == message_length(n, q)
+        assert qary_size_lower_bound(n, q) == oracle.qary_size_lower_bound(n, q)
+
+
+@pytest.mark.parametrize("q", [*range(3, 10), 17, 256])
+def test_qary_size_lower_bound_matches_the_closed_form(q):
+    for n in range(6, 600):
+        if (n - 1) & (n - 2):  # n - 1 is not a power of two
+            assert qary_size_lower_bound(n, q) == oracle.qary_size_lower_bound(n, q), n

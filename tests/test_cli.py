@@ -213,3 +213,12 @@ def test_received_word_far_from_code_length_exits_1(capsys):
         ["correct", "--q", "2", "--n", "7", "--a", "0", "--word", "0 0"]
     ) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("q, n", [("2", "1100"), ("4", "1000"), ("256", "130")])
+def test_bounds_past_the_float_range_exit_1(capsys, q, n):
+    for extra in ([], ["--json"]):
+        assert main(["bounds", "--q", q, "--n", n, *extra]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: size bounds at (n={n}, q={q}) exceed the float range\n"

@@ -11,7 +11,11 @@ import pytest
 from vtcodes import binary, qary
 from vtcodes.analysis import (
     binary_census,
+    binary_codewords,
     binary_size_bounds,
+    census_rows,
+    enumerate_binary,
+    enumerate_q,
     qary_census,
     qary_size_lower_bound,
     rate_bounds,
@@ -33,10 +37,11 @@ from vtcodes.words import (
     check_bits,
     check_symbols,
     check_word,
-    distinct_insertions,
     int_to_bits,
     int_to_digits,
 )
+
+from oracle import distinct_insertions
 
 NOT_INTS = [True, False, 3.0, "3", np.float64(3.0), np.True_]
 
@@ -93,6 +98,11 @@ INT_CALLS = [
     (lambda p: ChannelEvent("deletion", position=p), (2,)),
     (lambda s: ChannelEvent("insertion", position=0, symbol=s), (2,)),
     (lambda n: binary.validate_syndrome_positions(n, (1, 2)), (3,)),
+    (enumerate_binary, (10, 3)),
+    (binary_codewords, (10, 3)),
+    (enumerate_q, (8, 4, 1, 2)),
+    (lambda a: census_rows(8, 2, a=a), (3,)),
+    (lambda a, b: census_rows(8, 4, a=a, b=b), (3, 2)),
 ]
 
 

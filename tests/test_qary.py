@@ -21,8 +21,6 @@ from vtcodes.qary import (
     QaryVtParams,
     arrange_prefix,
     aux_sequence,
-    canonical_pair,
-    canonical_pair_index,
     code_signature,
     correct,
     encode,
@@ -186,16 +184,14 @@ def test_pair_table_structure_for_each_q():
 
 
 def test_canonical_pair_bijection_and_errors():
-    assert canonical_pair(8, 0) == (1, 1)
-    assert canonical_pair(8, 28) == (5, 0)
-    assert canonical_pair(4, 0) == (1, 1)
-    assert canonical_pair_index(8, (3, 5)) == 18
+    assert pair_table(8).pairs[0] == (1, 1)
+    assert pair_table(8).pairs[28] == (5, 0)
+    assert pair_table(4).pairs[0] == (1, 1)
+    assert pair_table(8).pair_index((3, 5)) == 18
     with pytest.raises(ParameterError):
-        canonical_pair_index(4, (1, 0))  # right = left - 1 is excluded
+        pair_table(4).pair_index((1, 0))  # right = left - 1 is excluded
     with pytest.raises(ParameterError):
-        canonical_pair_index(4, (0, 2))  # left = 0 is excluded
-    with pytest.raises(ParameterError):
-        canonical_pair(4, 9)
+        pair_table(4).pair_index((0, 2))  # left = 0 is excluded
     with pytest.raises(ParameterError):
         PairTable(2)
 

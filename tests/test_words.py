@@ -12,8 +12,6 @@ from vtcodes.words import (
     check_symbols,
     check_word,
     digits_to_int,
-    distinct_deletions,
-    distinct_insertions,
     format_bitstring,
     format_symbols,
     int_to_bits,
@@ -21,6 +19,8 @@ from vtcodes.words import (
     parse_bitstring,
     parse_symbols,
 )
+
+from oracle import distinct_deletions, distinct_insertions
 
 
 def test_check_bits_accepts_only_binary():
