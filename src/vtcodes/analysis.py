@@ -38,6 +38,7 @@ CSV_COLUMNS = ("q", "n", "a", "b", "count", "size_lower", "size_upper")
 
 def _check_binary_length(n: int, limit: int) -> int:
     n = check_int(n, "n", 1)
+    limit = check_int(limit, "limit", 0)
     if n > limit:
         raise LimitExceededError(f"length {n} exceeds the enumeration limit {limit}")
     return n
@@ -98,6 +99,7 @@ def binary_codewords(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> list[t
 def _check_qary_shape(n: int, q: int, limit: int) -> tuple[int, int]:
     n = check_int(n, "n", 2)
     q = check_int(q, "q", 3)
+    limit = check_int(limit, "limit", 0)
     if q**n > limit:
         raise LimitExceededError(f"{q}**{n} words exceed the enumeration limit {limit}")
     return n, q

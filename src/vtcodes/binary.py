@@ -81,6 +81,17 @@ class BinaryVtParams:
     def correct(self, received: Iterable[int]) -> Word:
         return correct(received, self)
 
+    # The cores behind encode, extract and correct, for words the library
+    # built itself: they take a validated tuple and skip check_bits.
+    def _encode(self, bits: Word) -> Word:
+        return _encode(bits, self)
+
+    def _extract(self, bits: Word) -> Word:
+        return _extract(bits, self)
+
+    def _correct(self, received: Word) -> Word:
+        return _correct(received, self)
+
     def is_member(self, word: Iterable[int]) -> bool:
         return is_member(word, self)
 
@@ -103,7 +114,10 @@ def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
     positions then absorb the checksum deficit, bit j of the deficit landing
     in position 2**j.
     """
-    bits = check_bits(message)
+    return _encode(check_bits(message), params)
+
+
+def _encode(bits: Word, params: BinaryVtParams) -> Word:
     if len(bits) != params.k:
         raise MessageLengthError(
             f"expected {params.k} message bits for n={params.n}, got {len(bits)}"
@@ -119,7 +133,10 @@ def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
 
 def extract(word: Iterable[int], params: BinaryVtParams) -> Word:
     """Read the message bits back out of a codeword."""
-    bits = check_bits(word)
+    return _extract(check_bits(word), params)
+
+
+def _extract(bits: Word, params: BinaryVtParams) -> Word:
     if len(bits) != params.n:
         raise ParameterError(f"expected a word of length {params.n}, got {len(bits)}")
     if _checksum(bits, params.n + 1) != params.a:
@@ -186,7 +203,10 @@ def correct(received: Iterable[int], params: BinaryVtParams) -> Word:
     result is checked against the code; the answer is unique because the
     code corrects any single edit.
     """
-    r = check_bits(received)
+    return _correct(check_bits(received), params)
+
+
+def _correct(r: Word, params: BinaryVtParams) -> Word:
     n, a = params.n, params.a
     modulus = n + 1
     if len(r) == n:

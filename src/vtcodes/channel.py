@@ -5,6 +5,11 @@ extracted bits equal the original message. Trial i draws from a stdlib
 random.Random seeded with the Cantor pairing of (seed, i), which is injective,
 so runs are reproducible for a given seed and order-independent across
 workers.
+
+The trial loop validates no word: its messages are drawn as bits and every
+later word is the library's own output, so it calls the unchecked cores that
+the public calls wrap after their one validation (the params' _encode,
+_correct and _extract, and _apply here).
 """
 
 from __future__ import annotations
@@ -56,7 +61,11 @@ def apply_channel(word, event: ChannelEvent) -> Word:
     """Apply one event to a word. Deletion positions must lie in 0..len-1,
     insertion positions in 0..len; the caller guarantees the inserted symbol
     fits the word's alphabet."""
-    w = check_symbols(word)
+    return _apply(check_symbols(word), event)
+
+
+def _apply(w: Word, event: ChannelEvent) -> Word:
+    """apply_channel on a validated tuple."""
     if event.kind == "identity":
         return w
     if event.kind == "deletion":
@@ -131,7 +140,7 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
     trials = check_int(trials, "trials", 1)
     seed = check_int(seed, "seed", 0)
     try:
-        encode, correct, extract = params.encode, params.correct, params.extract
+        encode, correct, extract = params._encode, params._correct, params._extract
         n, q, k = params.n, params.q, params.k
     except AttributeError:
         raise ParameterError(f"unsupported params object: {params!r}") from None
@@ -155,7 +164,7 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
         else:
             event = ChannelEvent("identity")
         try:
-            received = apply_channel(encode(message), event)
+            received = _apply(encode(message), event)
             decoded = extract(correct(received))
         except VtCodeError as exc:
             failures.append(TrialFailure(i, message, event, f"{type(exc).__name__}: {exc}"))

@@ -136,18 +136,10 @@ class PairTable:
             if right != left - 1
         )
         self.singles: Word = tuple(v for v in range(q) if v != q - 2)
+        self.pair_bits = _ilog2((q - 1) ** 2)  # message bits per constrained pair
+        self.single_bits = _ilog2(q - 1)  # message bits in the position-5 symbol
         self._pair_index = {pair: i for i, pair in enumerate(self.pairs)}
         self._single_index = {v: i for i, v in enumerate(self.singles)}
-
-    @property
-    def pair_bits(self) -> int:
-        """Message bits per constrained pair: floor(log2((q-1)^2))."""
-        return _ilog2((self.q - 1) ** 2)
-
-    @property
-    def single_bits(self) -> int:
-        """Message bits in the position-5 symbol: floor(log2(q-1))."""
-        return _ilog2(self.q - 1)
 
     def pair_index(self, pair: tuple[int, int]) -> int:
         try:
@@ -230,6 +222,17 @@ class QaryVtParams:
 
     def correct(self, received: Iterable[int]) -> Word:
         return correct(received, self)
+
+    # The cores behind encode, extract and correct, for words the library
+    # built itself: they take a validated tuple and skip check_bits/check_word.
+    def _encode(self, bits: Word) -> Word:
+        return _encode(bits, self)
+
+    def _extract(self, word: Word) -> Word:
+        return _extract(word, self)
+
+    def _correct(self, received: Word) -> Word:
+        return _correct(received, self)
 
     def is_member(self, word: Iterable[int]) -> bool:
         return is_member(word, self)
@@ -376,7 +379,10 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
 
 def encode(message: Iterable[int], params: QaryVtParams) -> Word:
     """Systematically encode k message bits into a codeword."""
-    bits = check_bits(message)
+    return _encode(check_bits(message), params)
+
+
+def _encode(bits: Word, params: QaryVtParams) -> Word:
     if params.k == 0:
         raise UnsupportedParametersError(
             f"(n={params.n}, q={params.q}) carries no message bits"
@@ -391,7 +397,10 @@ def encode(message: Iterable[int], params: QaryVtParams) -> Word:
 
 def extract(word: Iterable[int], params: QaryVtParams) -> Word:
     """Read the message bits back out of a codeword produced by encode()."""
-    w = check_word(word, params.q)
+    return _extract(check_word(word, params.q), params)
+
+
+def _extract(w: Word, params: QaryVtParams) -> Word:
     n, q = params.n, params.q
     if len(w) != n:
         raise ParameterError(f"expected a word of length {n}, got {len(w)}")
@@ -485,7 +494,10 @@ def correct(received: Iterable[int], params: QaryVtParams) -> Word:
     checked against both residues; the answer is unique because the code
     corrects any single edit.
     """
-    r = check_word(received, params.q)
+    return _correct(check_word(received, params.q), params)
+
+
+def _correct(r: Word, params: QaryVtParams) -> Word:
     n, q, a, b = params.n, params.q, params.a, params.b
     if len(r) == n:
         if _matches_code(r, n, q, a, b):

@@ -6,8 +6,11 @@ sequence is a contiguous string of '0'/'1' characters with the lowest index
 leftmost; a q-ary word is a run of space-separated decimal symbols, which
 stays unambiguous for alphabets larger than ten.
 
-The public block conversions validate their input once and hand it to
-unchecked helpers that the q-ary codec calls directly. Bits convert through
+Words are validated once, at the public boundary: check_word and check_bits
+make one type pass and, for q <= 256, one bytes().translate() range pass,
+and the codecs hand the checked tuple to unchecked cores. The public block
+conversions likewise validate their input once and hand it to unchecked
+helpers that the q-ary codec calls directly. Bits convert through
 int() and format() on '0'/'1' text, base-q digits c at a time (q**c <= 256)
 through a per-base table.
 """
@@ -56,26 +59,54 @@ def check_residue(value, name: str, modulus: int) -> int:
     return value
 
 
-def check_symbols(word: Iterable[int]) -> Word:
-    """Validate a sequence of non-negative integer symbols (alphabet unknown).
-    numpy integers are accepted; bool, float and str symbols are refused."""
+def _int_symbols(word: Iterable[int]) -> Word:
+    """A word as a tuple of plain ints: numpy integers convert through
+    operator.index; bool, float and str symbols are refused."""
     if isinstance(word, str):
         raise ParameterError("expected a sequence of ints; use parse_symbols() for text")
     out = tuple(word)
     if set(map(type, out)) != {int}:
-        # numpy integers convert through operator.index; bools are refused
         out = tuple(map(_as_int, out))
+    return out
+
+
+def _non_negative(out: Word) -> Word:
     if out and min(out) < 0:
         bad = next(s for s in out if s < 0)
         raise ParameterError(f"symbols must be non-negative, got {bad}")
     return out
 
 
+def check_symbols(word: Iterable[int]) -> Word:
+    """Validate a sequence of non-negative integer symbols (alphabet unknown).
+    numpy integers are accepted; bool, float and str symbols are refused."""
+    return _non_negative(_int_symbols(word))
+
+
+_BYTE_VALUES = bytes(range(256))
+
+
 def check_word(word: Iterable[int], q: int) -> Word:
-    """Validate a word over the alphabet {0, .., q-1} and return it as a tuple."""
+    """Validate a word over the alphabet {0, .., q-1} and return it as a tuple.
+
+    For q <= 256 the range check is one C pass: bytes() refuses a symbol
+    outside 0..255, and translate() deletes the alphabet, leaving the
+    out-of-range symbols in order. A word bytes() refuses is checked with
+    min/max, so every error names the same first bad symbol either way.
+    """
     if type(q) is not int:
         q = check_int(q, "alphabet size")
-    out = check_symbols(word)
+    out = _int_symbols(word)
+    if 0 <= q <= 256:
+        try:
+            stray = bytes(out).translate(None, _BYTE_VALUES[:q])
+        except ValueError:  # a symbol outside 0..255
+            pass
+        else:
+            if stray:
+                raise ParameterError(f"symbol {stray[0]} out of range for alphabet size {q}")
+            return out
+    _non_negative(out)
     if out and max(out) >= q:
         bad = next(s for s in out if s >= q)
         raise ParameterError(f"symbol {bad} out of range for alphabet size {q}")

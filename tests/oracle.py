@@ -16,6 +16,9 @@ kept so the differential tests can check the fast versions against them.
   and raise the same exception types.
 - The paper's closed form of the constructive q-ary size lower bound, which
   the library computes as the product of the encoder's slot sizes.
+- The word checks the library used before its one-pass range check: a type
+  pass, then min for negative symbols and max for out-of-range ones. The
+  library must return the same tuple or raise the same message.
 
 The duplicate-free single-edit neighbourhoods and the error for an
 ambiguous correction live here too: only the candidate search and the tests
@@ -50,7 +53,6 @@ from vtcodes.words import (
     _as_int,
     check_bits,
     check_int,
-    check_word,
 )
 
 _CHUNK = 1 << 16
@@ -407,3 +409,26 @@ def int_to_digits(value: int, base: int, width: int) -> Word:
         value, d = divmod(value, base)
         out.append(d)
     return tuple(reversed(out))
+
+
+def check_symbols(word: Iterable[int]) -> Word:
+    if isinstance(word, str):
+        raise ParameterError("expected a sequence of ints; use parse_symbols() for text")
+    out = tuple(word)
+    if set(map(type, out)) != {int}:
+        # numpy integers convert through operator.index; bools are refused
+        out = tuple(map(_as_int, out))
+    if out and min(out) < 0:
+        bad = next(s for s in out if s < 0)
+        raise ParameterError(f"symbols must be non-negative, got {bad}")
+    return out
+
+
+def check_word(word: Iterable[int], q: int) -> Word:
+    if type(q) is not int:
+        q = check_int(q, "alphabet size")
+    out = check_symbols(word)
+    if out and max(out) >= q:
+        bad = next(s for s in out if s >= q)
+        raise ParameterError(f"symbol {bad} out of range for alphabet size {q}")
+    return out

@@ -1,7 +1,10 @@
 """Channel event semantics and seeded end-to-end trial runs."""
 
+import random
+
 import pytest
 
+from vtcodes import binary, channel, qary
 from vtcodes.binary import BinaryVtParams
 from vtcodes.channel import (
     CHANNEL_KINDS,
@@ -12,7 +15,7 @@ from vtcodes.channel import (
     apply_channel,
     run_trials,
 )
-from vtcodes.errors import ParameterError, UnsupportedParametersError
+from vtcodes.errors import ParameterError, UnsupportedParametersError, VtCodeError
 from vtcodes.qary import QaryVtParams
 
 REF_WORD = (7, 2, 0, 7, 7, 3, 6, 3, 2, 5, 1, 0, 7, 2, 5, 0)
@@ -122,7 +125,7 @@ def test_run_trials_is_reproducible():
 
 def test_trial_draws_depend_only_on_seed_and_index(monkeypatch):
     # every trial fails, so failure_cases records each trial's draws
-    monkeypatch.setattr(QaryVtParams, "extract", lambda self, word: ())
+    monkeypatch.setattr(QaryVtParams, "_extract", lambda self, word: ())
     p = QaryVtParams(n=16, q=8, a=0, b=1)
     for seed in (0, 3):
         short = run_trials(p, "mixed", 8, seed).failure_cases
@@ -131,6 +134,66 @@ def test_trial_draws_depend_only_on_seed_and_index(monkeypatch):
     first = run_trials(p, "mixed", 2, 0).failure_cases[1]
     other = run_trials(p, "mixed", 1, 1).failure_cases[0]
     assert (first.message, first.event) != (other.message, other.event)
+
+
+TRIAL_CODES = [
+    BinaryVtParams(16, 5),
+    BinaryVtParams(2, 0),
+    QaryVtParams(16, 4, 0, 1),
+    QaryVtParams(12, 3, 2, 1),
+]
+
+
+def test_trial_loop_revalidates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the trial loop validated a word again")
+
+    for module in (binary, qary, channel):
+        for name in ("check_bits", "check_word", "check_symbols"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for p in TRIAL_CODES:
+        for kind in CHANNEL_KINDS:
+            assert run_trials(p, kind, trials=40, seed=9).successes == 40
+
+
+def public_trials(params, channel_kind, trials, seed):
+    """run_trials rebuilt from the public, validating calls."""
+    n, q, k = params.n, params.q, params.k
+    successes, failures = 0, []
+    for i in range(trials):
+        rng = random.Random((seed + i) * (seed + i + 1) // 2 + i)
+        message = tuple(map(int, format(rng.getrandbits(k), f"0{k}b"))) if k else ()
+        kind = channel_kind
+        if kind == "mixed":
+            kind = "insertion" if rng.getrandbits(1) else "deletion"
+        if kind == "deletion":
+            event = ChannelEvent("deletion", position=rng.randrange(n))
+        elif kind == "insertion":
+            event = ChannelEvent("insertion", position=rng.randrange(n + 1), symbol=rng.randrange(q))
+        else:
+            event = ChannelEvent("identity")
+        try:
+            decoded = params.extract(params.correct(apply_channel(params.encode(message), event)))
+        except VtCodeError as exc:
+            failures.append(TrialFailure(i, message, event, f"{type(exc).__name__}: {exc}"))
+            continue
+        if decoded == message:
+            successes += 1
+        else:
+            failures.append(TrialFailure(i, message, event, "extracted message differs"))
+    return TrialReport(params, channel_kind, seed, trials, successes, tuple(failures), 0.0)
+
+
+@pytest.mark.parametrize("p", TRIAL_CODES)
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("failing", [False, True])
+def test_trial_loop_matches_the_public_calls(monkeypatch, p, kind, failing):
+    if failing:  # every trial then fails, so the reports hold every draw
+        for name in ("extract", "_extract"):
+            monkeypatch.setattr(type(p), name, lambda self, word: (2,))
+    for seed in (0, 3, 4242):
+        assert run_trials(p, kind, 60, seed) == public_trials(p, kind, 60, seed)
 
 
 def test_run_trials_argument_validation():

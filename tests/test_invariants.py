@@ -103,6 +103,13 @@ INT_CALLS = [
     (enumerate_q, (8, 4, 1, 2)),
     (lambda a: census_rows(8, 2, a=a), (3,)),
     (lambda a, b: census_rows(8, 4, a=a, b=b), (3, 2)),
+    (lambda limit: binary_census(10, limit), (12,)),
+    (lambda limit: enumerate_binary(10, 3, limit), (12,)),
+    (lambda limit: binary_codewords(10, 3, limit), (12,)),
+    (lambda limit: qary_census(6, 3, limit), (3**6,)),
+    (lambda limit: enumerate_q(8, 4, 1, 2, limit), (4**8,)),
+    (lambda limit: census_rows(8, 2, limit), (12,)),
+    (lambda limit: census_rows(6, 3, limit), (3**6,)),
 ]
 
 

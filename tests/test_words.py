@@ -3,7 +3,9 @@ edit neighbourhoods."""
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtcodes.errors import ParameterError
 from vtcodes.words import (
@@ -20,6 +22,7 @@ from vtcodes.words import (
     parse_symbols,
 )
 
+import oracle
 from oracle import distinct_deletions, distinct_insertions
 
 
@@ -122,3 +125,38 @@ def test_distinct_insertions_match_naive_set_without_duplicates(q, n):
 
 def test_distinct_insertions_into_empty_word():
     assert set(distinct_insertions((), 3)) == {(0,), (1,), (2,)}
+
+
+def outcome(check, *args):
+    """repr of the checked word, which tells np.int64(3) from 3, or the
+    ParameterError message."""
+    try:
+        return repr(check(*args))
+    except ParameterError as exc:
+        return f"ParameterError: {exc}"
+
+
+@st.composite
+def words_and_alphabets(draw):
+    q = draw(st.sampled_from([2, 3, 4, 255, 256, 257, 300, 1, 0, -2]))
+    symbol = st.integers(0, max(q - 1, 0))
+    if draw(st.booleans()):  # out-of-range symbols, then other kinds of bad one
+        low = -1 if draw(st.booleans()) else 0
+        symbol = st.one_of(st.integers(low, max(q, 0) + 1), st.sampled_from([low, q, q + 1]))
+        if draw(st.booleans()):
+            symbol = st.one_of(symbol, symbol.map(np.int64))
+        if draw(st.booleans()):
+            symbol = st.one_of(symbol, st.booleans())
+    word = draw(st.lists(symbol, max_size=40))
+    return q, word, draw(st.sampled_from([tuple, list, iter]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(words_and_alphabets())
+def test_word_checks_match_the_min_max_oracle(case):
+    q, word, container = case
+    expected = outcome(oracle.check_word, container(word), q)
+    assert outcome(check_word, container(word), q) == expected
+    assert outcome(check_symbols, container(word)) == outcome(oracle.check_symbols, container(word))
+    if q == 2:
+        assert outcome(check_bits, container(word)) == expected
