@@ -5,7 +5,8 @@ sum(i * s_i) mod (n + 1), with positions counted from 1. Fixing that checksum
 to a residue a carves {0,1}^n into n + 1 codes, each of which corrects any
 single deletion or insertion. The systematic encoder here keeps message bits
 in the non-power-of-two positions and solves for the power-of-two ("dyadic")
-positions, whose weights 1, 2, 4, .. reach every residue.
+positions, whose weights 1, 2, 4, .. reach every residue. BinaryVtParams
+gives these rules and Levenshtein's decoder to the shared words.CodeParams.
 """
 
 from __future__ import annotations
@@ -15,13 +16,8 @@ from functools import cached_property
 from itertools import compress, count
 from typing import Iterable, Sequence
 
-from .errors import (
-    MessageLengthError,
-    NoCandidateError,
-    NotACodewordError,
-    ParameterError,
-)
-from .words import Word, check_bits, check_int, check_residue, check_symbols
+from .errors import ParameterError
+from .words import CodeParams, Word, check_bits, check_int, check_residue, check_symbols
 
 
 def _checksum(bits: Sequence[int], modulus: int) -> int:
@@ -37,7 +33,7 @@ def syndrome(word: Iterable[int]) -> int:
 
 
 @dataclass(frozen=True)
-class BinaryVtParams:
+class BinaryVtParams(CodeParams):
     """Code length n and target checksum residue a, 0 <= a <= n."""
 
     n: int
@@ -63,48 +59,37 @@ class BinaryVtParams:
         return self.n - self.t
 
     @cached_property
-    def dyadic_positions(self) -> Word:
-        return tuple(1 << j for j in range(self.t))
-
-    @cached_property
     def message_positions(self) -> Word:
         """The k lowest non-dyadic positions, ascending (3, 5, 6, 7, 9, ..)."""
         dyadic = set(self.dyadic_positions)
         return tuple(p for p in range(1, self.n + 1) if p not in dyadic)[: self.k]
 
-    def encode(self, message: Iterable[int]) -> Word:
-        return encode(message, self)
+    def _check(self, word: Iterable[int]) -> Word:
+        return check_bits(word)
 
-    def extract(self, word: Iterable[int]) -> Word:
-        return extract(word, self)
+    def _member(self, bits: Word) -> bool:
+        return _checksum(bits, self.n + 1) == self.a
 
-    def correct(self, received: Iterable[int]) -> Word:
-        return correct(received, self)
-
-    # The cores behind encode, extract and correct, for words the library
-    # built itself: they take a validated tuple and skip check_bits.
     def _encode(self, bits: Word) -> Word:
-        return _encode(bits, self)
+        word = [0] * self.n
+        for pos, bit in zip(self.message_positions, bits):
+            word[pos - 1] = bit
+        deficit = (self.a - _checksum(word, self.n + 1)) % (self.n + 1)
+        for j, pos in enumerate(self.dyadic_positions):
+            word[pos - 1] = (deficit >> j) & 1
+        return tuple(word)
 
-    def _extract(self, bits: Word) -> Word:
-        return _extract(bits, self)
+    def _read(self, bits: Word) -> Word:
+        return tuple(bits[pos - 1] for pos in self.message_positions)
 
-    def _correct(self, received: Word) -> Word:
-        return _correct(received, self)
-
-    def is_member(self, word: Iterable[int]) -> bool:
-        return is_member(word, self)
-
-    def to_dict(self) -> dict:
-        return {"q": 2, "n": self.n, "a": self.a}
+    def _restore(self, received: Word) -> Word | None:
+        restored = _levenshtein_restore(received, self.n, self.a)
+        return None if restored is None else restored[0]
 
 
 def is_member(word: Iterable[int], params: BinaryVtParams) -> bool:
     """True when a word of the code's length has the code's checksum."""
-    bits = check_bits(word)
-    if len(bits) != params.n:
-        raise ParameterError(f"expected a word of length {params.n}, got {len(bits)}")
-    return _checksum(bits, params.n + 1) == params.a
+    return params.is_member(word)
 
 
 def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
@@ -114,34 +99,12 @@ def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
     positions then absorb the checksum deficit, bit j of the deficit landing
     in position 2**j.
     """
-    return _encode(check_bits(message), params)
-
-
-def _encode(bits: Word, params: BinaryVtParams) -> Word:
-    if len(bits) != params.k:
-        raise MessageLengthError(
-            f"expected {params.k} message bits for n={params.n}, got {len(bits)}"
-        )
-    word = [0] * params.n
-    for pos, bit in zip(params.message_positions, bits):
-        word[pos - 1] = bit
-    deficit = (params.a - _checksum(word, params.n + 1)) % (params.n + 1)
-    for j, pos in enumerate(params.dyadic_positions):
-        word[pos - 1] = (deficit >> j) & 1
-    return tuple(word)
+    return params._encode(params._message(message))
 
 
 def extract(word: Iterable[int], params: BinaryVtParams) -> Word:
     """Read the message bits back out of a codeword."""
-    return _extract(check_bits(word), params)
-
-
-def _extract(bits: Word, params: BinaryVtParams) -> Word:
-    if len(bits) != params.n:
-        raise ParameterError(f"expected a word of length {params.n}, got {len(bits)}")
-    if _checksum(bits, params.n + 1) != params.a:
-        raise NotACodewordError(f"word is not in the code (a={params.a})")
-    return tuple(bits[pos - 1] for pos in params.message_positions)
+    return params._extract(check_bits(word))
 
 
 def _levenshtein_restore(received: Word, m: int, a: int) -> tuple[Word, int] | None:
@@ -203,24 +166,7 @@ def correct(received: Iterable[int], params: BinaryVtParams) -> Word:
     result is checked against the code; the answer is unique because the
     code corrects any single edit.
     """
-    return _correct(check_bits(received), params)
-
-
-def _correct(r: Word, params: BinaryVtParams) -> Word:
-    n, a = params.n, params.a
-    modulus = n + 1
-    if len(r) == n:
-        if _checksum(r, modulus) == a:
-            return r
-        raise NotACodewordError(f"word of length {n} is not in the code (a={a})")
-    if len(r) not in (n - 1, n + 1):
-        raise ParameterError(
-            f"received length {len(r)} is not within one edit of n={n}"
-        )
-    restored = _levenshtein_restore(r, n, a)
-    if restored is None or _checksum(restored[0], modulus) != a:
-        raise NoCandidateError(f"no codeword within one edit of the received word (n={n}, a={a})")
-    return restored[0]
+    return params._correct(check_bits(received))
 
 
 def validate_syndrome_positions(n: int, positions: Iterable[int]) -> bool:

@@ -7,9 +7,9 @@ so runs are reproducible for a given seed and order-independent across
 workers.
 
 The trial loop validates no word: its messages are drawn as bits and every
-later word is the library's own output, so it calls the unchecked cores that
-the public calls wrap after their one validation (the params' _encode,
-_correct and _extract, and _apply here).
+later word is the library's own output, so it calls the unchecked cores of
+the shared codec flow (words.CodeParams: _encode, _correct and _extract)
+and _apply here, which the public calls reach after their one validation.
 """
 
 from __future__ import annotations
@@ -17,17 +17,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Union
 
-from .binary import BinaryVtParams
 from .errors import ParameterError, UnsupportedParametersError, VtCodeError
-from .qary import QaryVtParams
-from .words import Word, _text_bits, check_int, check_symbols, format_bitstring
+from .words import CodeParams, Word, _text_bits, check_int, check_symbols, format_bitstring
 
 EVENT_KINDS = ("deletion", "insertion", "identity")
 CHANNEL_KINDS = ("deletion", "insertion", "mixed", "identity")
-
-CodeParams = Union[BinaryVtParams, QaryVtParams]
 
 
 @dataclass(frozen=True)
@@ -139,15 +134,13 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
         raise ParameterError(f"channel must be one of {CHANNEL_KINDS}, got {channel_kind!r}")
     trials = check_int(trials, "trials", 1)
     seed = check_int(seed, "seed", 0)
-    try:
-        encode, correct, extract = params._encode, params._correct, params._extract
-        n, q, k = params.n, params.q, params.k
-    except AttributeError:
-        raise ParameterError(f"unsupported params object: {params!r}") from None
-    # Binary codes with n <= 2 carry the empty message and still run; the
-    # q-ary encoder refuses k = 0, so every trial would fail the same way.
-    if q > 2 and k == 0:
-        raise UnsupportedParametersError(f"(n={n}, q={q}) carries no message bits to simulate")
+    if not isinstance(params, CodeParams):
+        raise ParameterError(f"unsupported params object: {params!r}")
+    # A shape the encoder refuses would fail every trial the same way.
+    if params._unsupported:
+        raise UnsupportedParametersError(f"{params._unsupported} to simulate")
+    encode, correct, extract = params._encode, params._correct, params._extract
+    n, q, k = params.n, params.q, params.k
     start = time.perf_counter()
     successes = 0
     failures: list[TrialFailure] = []

@@ -14,6 +14,8 @@ three symbols absorb the sum deficit. Lengths with n - 1 a power of two would
 need position n for the layout and are rejected. Encoding and extraction take
 O(n) work in builtins: the free symbols move as slices of runs between the
 reserved blocks and the comparisons and checksums are map/compress passes.
+QaryVtParams gives these rules and Tenengolts' decoder (which restores the
+auxiliary sequence by the binary rule) to the shared words.CodeParams.
 """
 
 from __future__ import annotations
@@ -28,20 +30,16 @@ from .binary import _checksum, _levenshtein_restore, syndrome
 from .errors import (
     CodecError,
     ExtractionError,
-    MessageLengthError,
-    NoCandidateError,
-    NotACodewordError,
     ParameterError,
     UnsupportedLengthError,
-    UnsupportedParametersError,
 )
 from .words import (
+    CodeParams,
     Word,
     _bit_text,
     _digits_value,
     _text_bits,
     _value_digits,
-    check_bits,
     check_int,
     check_residue,
     check_symbols,
@@ -161,7 +159,7 @@ def pair_table(q: int) -> PairTable:
 
 
 @dataclass(frozen=True)
-class QaryVtParams:
+class QaryVtParams(CodeParams):
     """Code shape: length n >= 6, alphabet q >= 3, and the two target
     residues, 0 <= a <= n-1 for the auxiliary checksum and 0 <= b <= q-1 for
     the symbol sum."""
@@ -189,10 +187,6 @@ class QaryVtParams:
         return message_length(self.n, self.q)
 
     @cached_property
-    def dyadic_positions(self) -> Word:
-        return tuple(1 << j for j in range(self.t))
-
-    @cached_property
     def pair_positions(self) -> tuple[tuple[int, int], ...]:
         """Odd neighbours (2^j - 1, 2^j + 1) of each reserved 2^j, j >= 2."""
         return tuple(((1 << j) - 1, (1 << j) + 1) for j in range(2, self.t))
@@ -214,31 +208,93 @@ class QaryVtParams:
         """Message bits in the free block: floor(log2(q ** free count))."""
         return _ilog2(_slot_sizes(self.n, self.q)[0])
 
-    def encode(self, message: Iterable[int]) -> Word:
-        return encode(message, self)
+    @cached_property
+    def _unsupported(self) -> str | None:
+        return None if self.k else f"(n={self.n}, q={self.q}) carries no message bits"
 
-    def extract(self, word: Iterable[int]) -> Word:
-        return extract(word, self)
+    def _member(self, w: Word) -> bool:
+        return _matches_code(w, self.n, self.q, self.a, self.b)
 
-    def correct(self, received: Iterable[int]) -> Word:
-        return correct(received, self)
-
-    # The cores behind encode, extract and correct, for words the library
-    # built itself: they take a validated tuple and skip check_bits/check_word.
     def _encode(self, bits: Word) -> Word:
-        return _encode(bits, self)
+        return _complete_codeword(_place_message(bits, self), self)
 
-    def _extract(self, word: Word) -> Word:
-        return _extract(word, self)
+    def _read(self, w: Word) -> Word:
+        q = self.q
+        table = pair_table(q)
+        parts = []
+        if self.free_positions:
+            width = self._free_bits
+            free = chain.from_iterable(w[run.start : run.stop] for run in self._free_runs)
+            value = _digits_value(tuple(free), q)
+            if value >> width:
+                raise ExtractionError("free-position symbols exceed the message range")
+            parts.append(format(value, f"0{width}b"))
+        for left, right in self.pair_positions[1:]:
+            try:
+                idx = table.pair_index((w[left], w[right]))
+            except ParameterError as exc:
+                raise ExtractionError(
+                    f"positions {left}, {right} do not hold a constrained pair"
+                ) from exc
+            if idx >> table.pair_bits:
+                raise ExtractionError(f"pair at positions {left}, {right} exceeds the message range")
+            parts.append(format(idx, f"0{table.pair_bits}b"))
+        if q == 3:
+            if w[5] != 2 or w[3] not in (1, 2):
+                raise ExtractionError("positions 3 and 5 do not match the encoder layout")
+        else:
+            if w[3] != q - 1:
+                raise ExtractionError(f"position 3 must hold {q - 1}, got {w[3]}")
+            try:
+                idx = table.single_index(w[5])
+            except ParameterError as exc:
+                raise ExtractionError(f"position 5 holds the excluded value {w[5]}") from exc
+            if idx >> table.single_bits:
+                raise ExtractionError("position 5 exceeds the message range")
+            parts.append(format(idx, f"0{table.single_bits}b"))
+        bits = _text_bits("".join(parts))
+        if len(bits) != self.k:
+            raise CodecError(f"extracted {len(bits)} message bits, expected {self.k}")
+        return bits
 
-    def _correct(self, received: Word) -> Word:
-        return _correct(received, self)
+    def _restore(self, r: Word) -> Word | None:
+        """Tenengolts' decoder: the word one deletion or insertion away from r
+        with auxiliary checksum a (mod n) and symbol sum b (mod q), or None.
 
-    def is_member(self, word: Iterable[int]) -> bool:
-        return is_member(word, self)
-
-    def to_dict(self) -> dict:
-        return {"q": self.q, "n": self.n, "a": self.a, "b": self.b}
+        The sum residue names the lost or gained symbol. A symbol edit is a
+        single bit edit of the auxiliary sequence, so Levenshtein's decoder
+        (length n - 1, modulus n) restores the codeword's auxiliary bits. The
+        symbol then goes in (or comes out) at an index j that keeps the received
+        auxiliary bits before j and after it, which bounds j by the longest
+        common prefix and suffix of the two auxiliary words; the bits on either
+        side of j are checked directly. O(n) in all.
+        """
+        n, q, a, b = self.n, self.q, self.a, self.b
+        deletion = len(r) == n - 1
+        total = sum(r)
+        symbol = (b - total) % q if deletion else (total - b) % q
+        aux = _ascents(r)
+        restored = _levenshtein_restore(aux, n - 1, a)
+        if restored is None:
+            return None
+        target, edit = restored
+        limit = min(len(aux), len(target))
+        prefix = edit  # bits before the edit are untouched
+        while prefix < limit and aux[prefix] == target[prefix]:
+            prefix += 1
+        suffix = limit - edit  # and so are the bits after it
+        while suffix < limit and aux[-1 - suffix] == target[-1 - suffix]:
+            suffix += 1
+        for j in range(limit - suffix, prefix + 2):
+            if deletion:
+                if j and (symbol >= r[j - 1]) != target[j - 1]:
+                    continue
+                if j < n - 1 and (r[j] >= symbol) != target[j]:
+                    continue
+                return r[:j] + (symbol,) + r[j:]
+            if r[j] == symbol and (j in (0, n) or (r[j + 1] >= r[j - 1]) == target[j - 1]):
+                return r[:j] + r[j + 1 :]
+        return None
 
 
 def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
@@ -249,10 +305,7 @@ def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
 
 def is_member(word: Iterable[int], params: QaryVtParams) -> bool:
     """True when the word hits both target residues of the code."""
-    w = check_word(word, params.q)
-    if len(w) != params.n:
-        raise ParameterError(f"expected a word of length {params.n}, got {len(w)}")
-    return _matches_code(w, params.n, params.q, params.a, params.b)
+    return params.is_member(word)
 
 
 def step6_triple(w: int, q: int) -> tuple[int, int, int]:
@@ -379,110 +432,12 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
 
 def encode(message: Iterable[int], params: QaryVtParams) -> Word:
     """Systematically encode k message bits into a codeword."""
-    return _encode(check_bits(message), params)
-
-
-def _encode(bits: Word, params: QaryVtParams) -> Word:
-    if params.k == 0:
-        raise UnsupportedParametersError(
-            f"(n={params.n}, q={params.q}) carries no message bits"
-        )
-    if len(bits) != params.k:
-        raise MessageLengthError(
-            f"expected {params.k} message bits for (n={params.n}, q={params.q}), "
-            f"got {len(bits)}"
-        )
-    return _complete_codeword(_place_message(bits, params), params)
+    return params._encode(params._message(message))
 
 
 def extract(word: Iterable[int], params: QaryVtParams) -> Word:
     """Read the message bits back out of a codeword produced by encode()."""
-    return _extract(check_word(word, params.q), params)
-
-
-def _extract(w: Word, params: QaryVtParams) -> Word:
-    n, q = params.n, params.q
-    if len(w) != n:
-        raise ParameterError(f"expected a word of length {n}, got {len(w)}")
-    if params.k == 0:
-        raise UnsupportedParametersError(f"(n={n}, q={q}) carries no message bits")
-    if not _matches_code(w, n, q, params.a, params.b):
-        raise NotACodewordError(f"word is not in the code (a={params.a}, b={params.b})")
-    table = pair_table(q)
-    parts = []
-    if params.free_positions:
-        width = params._free_bits
-        free = chain.from_iterable(w[run.start : run.stop] for run in params._free_runs)
-        value = _digits_value(tuple(free), q)
-        if value >> width:
-            raise ExtractionError("free-position symbols exceed the message range")
-        parts.append(format(value, f"0{width}b"))
-    for left, right in params.pair_positions[1:]:
-        try:
-            idx = table.pair_index((w[left], w[right]))
-        except ParameterError as exc:
-            raise ExtractionError(
-                f"positions {left}, {right} do not hold a constrained pair"
-            ) from exc
-        if idx >> table.pair_bits:
-            raise ExtractionError(f"pair at positions {left}, {right} exceeds the message range")
-        parts.append(format(idx, f"0{table.pair_bits}b"))
-    if q == 3:
-        if w[5] != 2 or w[3] not in (1, 2):
-            raise ExtractionError("positions 3 and 5 do not match the encoder layout")
-    else:
-        if w[3] != q - 1:
-            raise ExtractionError(f"position 3 must hold {q - 1}, got {w[3]}")
-        try:
-            idx = table.single_index(w[5])
-        except ParameterError as exc:
-            raise ExtractionError(f"position 5 holds the excluded value {w[5]}") from exc
-        if idx >> table.single_bits:
-            raise ExtractionError("position 5 exceeds the message range")
-        parts.append(format(idx, f"0{table.single_bits}b"))
-    bits = _text_bits("".join(parts))
-    if len(bits) != params.k:
-        raise CodecError(f"extracted {len(bits)} message bits, expected {params.k}")
-    return bits
-
-
-def _tenengolts_restore(r: Word, n: int, q: int, a: int, b: int) -> Word | None:
-    """Tenengolts' decoder: the word one deletion or insertion away from r
-    with auxiliary checksum a (mod n) and symbol sum b (mod q), or None.
-
-    The sum residue names the lost or gained symbol. A symbol edit is a
-    single bit edit of the auxiliary sequence, so Levenshtein's decoder
-    (length n - 1, modulus n) restores the codeword's auxiliary bits. The
-    symbol then goes in (or comes out) at an index j that keeps the received
-    auxiliary bits before j and after it, which bounds j by the longest
-    common prefix and suffix of the two auxiliary words; the bits on either
-    side of j are checked directly. O(n) in all.
-    """
-    deletion = len(r) == n - 1
-    total = sum(r)
-    symbol = (b - total) % q if deletion else (total - b) % q
-    aux = _ascents(r)
-    restored = _levenshtein_restore(aux, n - 1, a)
-    if restored is None:
-        return None
-    target, edit = restored
-    limit = min(len(aux), len(target))
-    prefix = edit  # bits before the edit are untouched
-    while prefix < limit and aux[prefix] == target[prefix]:
-        prefix += 1
-    suffix = limit - edit  # and so are the bits after it
-    while suffix < limit and aux[-1 - suffix] == target[-1 - suffix]:
-        suffix += 1
-    for j in range(limit - suffix, prefix + 2):
-        if deletion:
-            if j and (symbol >= r[j - 1]) != target[j - 1]:
-                continue
-            if j < n - 1 and (r[j] >= symbol) != target[j]:
-                continue
-            return r[:j] + (symbol,) + r[j:]
-        if r[j] == symbol and (j in (0, n) or (r[j + 1] >= r[j - 1]) == target[j - 1]):
-            return r[:j] + r[j + 1 :]
-    return None
+    return params._extract(check_word(word, params.q))
 
 
 def correct(received: Iterable[int], params: QaryVtParams) -> Word:
@@ -490,24 +445,8 @@ def correct(received: Iterable[int], params: QaryVtParams) -> Word:
 
     A received length of n - 1 means a deletion, n + 1 an insertion, and n
     must already be a codeword. Deletions and insertions are located in
-    O(n) by Tenengolts' decoder (see _tenengolts_restore), and the result is
+    O(n) by Tenengolts' decoder (see QaryVtParams._restore), and the result is
     checked against both residues; the answer is unique because the code
     corrects any single edit.
     """
-    return _correct(check_word(received, params.q), params)
-
-
-def _correct(r: Word, params: QaryVtParams) -> Word:
-    n, q, a, b = params.n, params.q, params.a, params.b
-    if len(r) == n:
-        if _matches_code(r, n, q, a, b):
-            return r
-        raise NotACodewordError(f"word of length {n} is not in the code (a={a}, b={b})")
-    if len(r) not in (n - 1, n + 1):
-        raise ParameterError(f"received length {len(r)} is not within one edit of n={n}")
-    found = _tenengolts_restore(r, n, q, a, b)
-    if found is None or not _matches_code(found, n, q, a, b):
-        raise NoCandidateError(
-            f"no codeword within one edit of the received word (n={n}, q={q}, a={a}, b={b})"
-        )
-    return found
+    return params._correct(check_word(received, params.q))

@@ -8,21 +8,29 @@ stays unambiguous for alphabets larger than ten.
 
 Words are validated once, at the public boundary: check_word and check_bits
 make one type pass and, for q <= 256, one bytes().translate() range pass,
-and the codecs hand the checked tuple to unchecked cores. The public block
+and the codecs hand the checked tuple to unchecked cores; CodeParams, the
+base of both params classes, holds that codec flow once. The public block
 conversions likewise validate their input once and hand it to unchecked
-helpers that the q-ary codec calls directly. Bits convert through
-int() and format() on '0'/'1' text, base-q digits c at a time (q**c <= 256)
-through a per-base table.
+helpers that the q-ary codec calls directly. Bits convert through int() and
+format() on '0'/'1' text, base-q digits c at a time (q**c <= 256) through a
+per-base table.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache
+from dataclasses import fields
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .errors import ParameterError
+from .errors import (
+    MessageLengthError,
+    NoCandidateError,
+    NotACodewordError,
+    ParameterError,
+    UnsupportedParametersError,
+)
 
 Word = tuple[int, ...]
 
@@ -221,3 +229,79 @@ def _digits_value(digits: Sequence[int], base: int) -> int:
         value = value * chunk + d
     return value
 
+
+class CodeParams:
+    """The codec flow both params classes inherit: the public methods validate
+    their word once and hand the tuple to the unchecked cores _encode,
+    _extract and _correct. Each family supplies n, q, k, t, _member (for a
+    checked word of length n), _encode, the positional reader _read, and
+    _restore, its decoder from length n - 1 or n + 1 to a codeword or None."""
+
+    _unsupported: str | None = None  # why encode and extract refuse the shape
+
+    def encode(self, message: Iterable[int]) -> Word:
+        """Systematically encode k message bits into a codeword."""
+        return self._encode(self._message(message))
+
+    def extract(self, word: Iterable[int]) -> Word:
+        """Read the message bits back out of a codeword produced by encode()."""
+        return self._extract(self._check(word))
+
+    def correct(self, received: Iterable[int]) -> Word:
+        """Recover the codeword from a word that suffered at most one edit."""
+        return self._correct(self._check(received))
+
+    def is_member(self, word: Iterable[int]) -> bool:
+        """True when a word of the code's length is in the code."""
+        return self._member(self._sized(self._check(word)))
+
+    def to_dict(self) -> dict:
+        """The code's parameters, q first: {"q": 2, "n": 10, "a": 3}."""
+        return {"q": self.q} | {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def dyadic_positions(self) -> Word:
+        return tuple(1 << j for j in range(self.t))
+
+    def _message(self, message: Iterable[int]) -> Word:
+        bits = check_bits(message)
+        if self._unsupported:
+            raise UnsupportedParametersError(self._unsupported)
+        if len(bits) != self.k:
+            raise MessageLengthError(
+                f"expected {self.k} message bits for ({self._shape()}), got {len(bits)}"
+            )
+        return bits
+
+    def _check(self, word: Iterable[int]) -> Word:  # binary codes use check_bits
+        return check_word(word, self.q)
+
+    def _sized(self, word: Word) -> Word:
+        if len(word) != self.n:
+            raise ParameterError(f"expected a word of length {self.n}, got {len(word)}")
+        return word
+
+    def _extract(self, word: Word) -> Word:
+        self._sized(word)
+        if self._unsupported:
+            raise UnsupportedParametersError(self._unsupported)
+        return self._read(self._correct(word))  # a word of length n comes back only if a member
+
+    def _correct(self, r: Word) -> Word:
+        n = self.n
+        if len(r) == n:
+            if self._member(r):
+                return r
+            raise NotACodewordError(f"word is not in the code ({self._shape()})")
+        if len(r) not in (n - 1, n + 1):
+            raise ParameterError(f"received length {len(r)} is not within one edit of n={n}")
+        found = self._restore(r)
+        if found is None or not self._member(found):
+            raise NoCandidateError(
+                f"no codeword within one edit of the received word ({self._shape()})"
+            )
+        return found
+
+    def _shape(self) -> str:
+        """The code's parameters as error messages name them: "q=2, n=10, a=3"."""
+        return ", ".join(f"{key}={value}" for key, value in self.to_dict().items())

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vtcodes import binary, channel, qary
+from vtcodes import binary, channel, qary, words
 from vtcodes.binary import BinaryVtParams
 from vtcodes.channel import (
     CHANNEL_KINDS,
@@ -148,7 +148,7 @@ def test_trial_loop_revalidates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("the trial loop validated a word again")
 
-    for module in (binary, qary, channel):
+    for module in (binary, qary, channel, words):
         for name in ("check_bits", "check_word", "check_symbols"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

@@ -5,13 +5,22 @@ import pytest
 
 from vtcodes import binary, qary
 from vtcodes.binary import BinaryVtParams
-from vtcodes.errors import ParameterError
+from vtcodes.errors import NoCandidateError, NotACodewordError, ParameterError, VtCodeError
 from vtcodes.qary import QaryVtParams
 
 CASES = [
     (BinaryVtParams(10, 3), binary, 2, [("q", 2), ("n", 10), ("a", 3)]),
     (QaryVtParams(8, 4, 2, 3), qary, 4, [("q", 4), ("n", 8), ("a", 2), ("b", 3)]),
 ]
+
+
+def raised(call, *args):
+    """The type of the package error call(*args) raises, or None."""
+    try:
+        call(*args)
+    except VtCodeError as exc:
+        return type(exc)
+    return None
 
 
 @pytest.mark.parametrize("p, module, q, params_items", CASES)
@@ -27,3 +36,16 @@ def test_params_methods_match_module_functions(p, module, q, params_items):
     assert list(p.to_dict().items()) == params_items
     with pytest.raises(ParameterError):
         p.is_member(word[:-1])
+    # both families go through the same error branches, method and function alike
+    non_member = word[:-1] + ((word[-1] + 1) % q,)
+    for name, received, error in [
+        ("is_member", word[:-1], ParameterError),
+        ("extract", word[:-1], ParameterError),
+        ("extract", non_member, NotACodewordError),
+        ("correct", non_member, NotACodewordError),
+        ("correct", word[2:], ParameterError),
+        ("correct", word + (0, 0), ParameterError),
+        ("correct", (0,) * (p.n + 1), NoCandidateError),
+    ]:
+        method, function = getattr(p, name), getattr(module, name)
+        assert raised(method, received) is raised(function, received, p) is error, name
