@@ -3,8 +3,10 @@ CSV/JSON report writers.
 
 Code sizes are counted by dynamic programming over word positions with
 Python ints, so every count is exact at any length: O(n^2) additions for the
-binary census and O(n^2 q^2) for the q-ary one. binary_codewords walks the
-binary census's tables back from its residue, so its work follows its output.
+binary census and O(n^2 q^2) for the q-ary one. binary_codewords lists one
+residue by meet in the middle: the words over each half of the positions are
+built once, and each codeword is one join of a high half with a low half
+whose checksum completes the residue, O(2^ceil(n/2) + output) work.
 The limits (binary length <= BINARY_LENGTH_LIMIT, q-ary word count <=
 QARY_WORD_LIMIT by default) are kept as the API contract. The constructive
 lower bound is the product of the encoder's message slot sizes
@@ -23,12 +25,13 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count, product
 from operator import add, sub
 
 from .binary import BinaryVtParams
 from .errors import LimitExceededError, ParameterError
 from .qary import _code_shape, _slot_sizes, message_length
-from .words import _text_bits, check_int, check_residue
+from .words import check_int, check_residue
 
 BINARY_LENGTH_LIMIT = 20
 QARY_WORD_LIMIT = 1 << 24
@@ -73,27 +76,35 @@ def enumerate_binary(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> int:
     return _binary_census(n)[a]
 
 
+def _binary_halves(n: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """[low, high]: the words over positions 1..m (m = n // 2) and over
+    m+1..n, each in increasing integer order and paired with its partial
+    checksum. product() varies its last entry fastest, so reversing each
+    tuple puts the lowest position first."""
+    m = n // 2
+    halves = []
+    for start, width in ((1, m), (m + 1, n - m)):
+        words = [w[::-1] for w in product((0, 1), repeat=width)]
+        halves.append([(w, sum(compress(count(start), w))) for w in words])
+    return halves
+
+
 def binary_codewords(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> list[tuple[int, ...]]:
     """Every codeword of the binary code with residue a, in integer order
-    (bit i of the integer is position i + 1)."""
+    (bit i of the integer is position i + 1).
+
+    Meet in the middle (Horowitz and Sahni): the low halves are bucketed by
+    checksum, and each high half, in order, is joined to the low halves that
+    complete residue a. O(2**ceil(n/2) + output) work, one tuple join per
+    codeword.
+    """
     n = _check_binary_length(n, limit)
     a = check_residue(a, "a", n + 1)
-    tables = list(_binary_prefix_counts(n))
-    # Fix positions n..1 in turn, bit 0 before bit 1, so the words stay in
-    # integer order. (owed, v) holds the checksum positions 1..i still owe and
-    # the bits fixed so far, position j at bit n - j of v; a bit is kept only
-    # where some word over the lower positions pays what is then owed.
-    partial = [(a, 0)]
-    for i in range(n, 0, -1):
-        below, bit, grown = tables[i - 1], 1 << (n - i), []
-        for owed, v in partial:
-            if below[owed]:
-                grown.append((owed, v))
-            owed = (owed - i) % (n + 1)
-            if below[owed]:
-                grown.append((owed, v | bit))
-        partial = grown
-    return [_text_bits(format(v, f"0{n}b")) for _, v in partial]
+    low, high = _binary_halves(n)
+    buckets = [[] for _ in range(n + 1)]
+    for w, s in low:
+        buckets[s % (n + 1)].append(w)
+    return [lo + hi for hi, s in high for lo in buckets[(a - s) % (n + 1)]]
 
 
 def _check_qary_shape(n: int, q: int, limit: int) -> tuple[int, int]:

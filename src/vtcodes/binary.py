@@ -17,7 +17,15 @@ from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
-from .words import CodeParams, Word, check_bits, check_int, check_residue, check_symbols
+from .words import (
+    CodeParams,
+    Word,
+    check_bits,
+    check_int,
+    check_params,
+    check_residue,
+    check_symbols,
+)
 
 
 def _checksum(bits: Sequence[int], modulus: int) -> int:
@@ -89,7 +97,7 @@ class BinaryVtParams(CodeParams):
 
 def is_member(word: Iterable[int], params: BinaryVtParams) -> bool:
     """True when a word of the code's length has the code's checksum."""
-    return params.is_member(word)
+    return check_params(params, BinaryVtParams).is_member(word)
 
 
 def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
@@ -99,11 +107,13 @@ def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
     positions then absorb the checksum deficit, bit j of the deficit landing
     in position 2**j.
     """
+    params = check_params(params, BinaryVtParams)
     return params._encode(params._message(message))
 
 
 def extract(word: Iterable[int], params: BinaryVtParams) -> Word:
     """Read the message bits back out of a codeword."""
+    params = check_params(params, BinaryVtParams)
     return params._extract(check_bits(word))
 
 
@@ -166,6 +176,7 @@ def correct(received: Iterable[int], params: BinaryVtParams) -> Word:
     result is checked against the code; the answer is unique because the
     code corrects any single edit.
     """
+    params = check_params(params, BinaryVtParams)
     return params._correct(check_bits(received))
 
 

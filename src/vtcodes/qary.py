@@ -41,6 +41,7 @@ from .words import (
     _text_bits,
     _value_digits,
     check_int,
+    check_params,
     check_residue,
     check_symbols,
     check_word,
@@ -305,7 +306,7 @@ def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
 
 def is_member(word: Iterable[int], params: QaryVtParams) -> bool:
     """True when the word hits both target residues of the code."""
-    return params.is_member(word)
+    return check_params(params, QaryVtParams).is_member(word)
 
 
 def step6_triple(w: int, q: int) -> tuple[int, int, int]:
@@ -432,11 +433,13 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
 
 def encode(message: Iterable[int], params: QaryVtParams) -> Word:
     """Systematically encode k message bits into a codeword."""
+    params = check_params(params, QaryVtParams)
     return params._encode(params._message(message))
 
 
 def extract(word: Iterable[int], params: QaryVtParams) -> Word:
     """Read the message bits back out of a codeword produced by encode()."""
+    params = check_params(params, QaryVtParams)
     return params._extract(check_word(word, params.q))
 
 
@@ -449,4 +452,5 @@ def correct(received: Iterable[int], params: QaryVtParams) -> Word:
     checked against both residues; the answer is unique because the code
     corrects any single edit.
     """
+    params = check_params(params, QaryVtParams)
     return params._correct(check_word(received, params.q))

@@ -9,11 +9,12 @@ stays unambiguous for alphabets larger than ten.
 Words are validated once, at the public boundary: check_word and check_bits
 make one type pass and, for q <= 256, one bytes().translate() range pass,
 and the codecs hand the checked tuple to unchecked cores; CodeParams, the
-base of both params classes, holds that codec flow once. The public block
-conversions likewise validate their input once and hand it to unchecked
-helpers that the q-ary codec calls directly. Bits convert through int() and
-format() on '0'/'1' text, base-q digits c at a time (q**c <= 256) through a
-per-base table.
+base of both params classes, holds that codec flow once, and check_params
+keeps each family's module functions to that family's params. The public
+block conversions likewise validate their input once and hand it to
+unchecked helpers that the q-ary codec calls directly. Bits convert through
+int() and format() on '0'/'1' text, base-q digits c at a time (q**c <= 256)
+through a per-base table.
 """
 
 from __future__ import annotations
@@ -305,3 +306,11 @@ class CodeParams:
     def _shape(self) -> str:
         """The code's parameters as error messages name them: "q=2, n=10, a=3"."""
         return ", ".join(f"{key}={value}" for key, value in self.to_dict().items())
+
+
+def check_params(params, family: type):
+    """params itself when it is an instance of family; ParameterError naming
+    family otherwise, so a module function never runs another family's flow."""
+    if not isinstance(params, family):
+        raise ParameterError(f"expected {family.__name__}, got {type(params).__name__}")
+    return params

@@ -2,6 +2,9 @@
 checks only they can reach: size bounds and even splits at lengths far past
 any brute-force word space."""
 
+from itertools import compress, count
+from operator import lt
+
 import pytest
 
 import oracle
@@ -40,11 +43,32 @@ def test_binary_census_matches_brute_force():
 
 LISTING_CASES = [(n, a) for n in range(1, 17) for a in range(n + 1)]
 LISTING_CASES += [(n, a) for n in (18, 20) for a in (0, 7, n)]
+LISTING_CASES += [(18, a) for a in range(1, 18) if a != 7]  # n = 18's other residues
 
 
 @pytest.mark.parametrize("n, a", LISTING_CASES)
 def test_binary_codewords_match_brute_force(n, a):
     assert analysis.binary_codewords(n, a) == oracle.binary_codewords(n, a)
+
+
+@pytest.mark.parametrize("n", [17, 19])
+def test_binary_codewords_partition_the_word_space(n):
+    counts = binary_census(n, limit=n)
+    listed = 0
+    for a in range(n + 1):
+        words = analysis.binary_codewords(n, a)
+        assert len(words) == counts[a]
+        assert all(sum(compress(count(1), w)) % (n + 1) == a for w in words)
+        # reversed, the last position leads: tuple order is integer order
+        backwards = [w[::-1] for w in words]
+        assert all(map(lt, backwards, backwards[1:]))
+        listed += len(words)
+    assert listed == 1 << n
+
+
+@pytest.mark.parametrize("a", [0, 11, 22])
+def test_binary_codewords_count_the_census_past_the_cap(a):
+    assert len(analysis.binary_codewords(22, a, limit=22)) == binary_census(22, limit=22)[a]
 
 
 @pytest.mark.parametrize("n, q", [(16, 3), (32, 3), (32, 4), (32, 5), (64, 8), (48, 7)])
@@ -68,7 +92,7 @@ def test_binary_census_splits_evenly_at_lengths_two_to_the_m_minus_one(n):
 
 @pytest.fixture
 def no_census(monkeypatch):
-    """Make any census computation fail the test."""
+    """Make any census computation or codeword listing fail the test."""
 
     def fail(*args):
         raise AssertionError("a census was computed")
@@ -76,6 +100,7 @@ def no_census(monkeypatch):
     monkeypatch.setattr(analysis, "_binary_census", fail)
     monkeypatch.setattr(analysis, "_qary_census", fail)
     monkeypatch.setattr(analysis, "_binary_prefix_counts", fail)
+    monkeypatch.setattr(analysis, "_binary_halves", fail)
 
 
 @pytest.mark.parametrize(

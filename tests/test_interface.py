@@ -49,3 +49,18 @@ def test_params_methods_match_module_functions(p, module, q, params_items):
     ]:
         method, function = getattr(p, name), getattr(module, name)
         assert raised(method, received) is raised(function, received, p) is error, name
+
+
+@pytest.mark.parametrize("name", ["encode", "extract", "correct", "is_member"])
+@pytest.mark.parametrize(
+    "module, other, family",
+    [(binary, QaryVtParams(8, 4, 0, 0), "BinaryVtParams"), (qary, BinaryVtParams(10, 3), "QaryVtParams")],
+    ids=["binary", "qary"],
+)
+def test_module_functions_refuse_the_other_familys_params(module, other, family, name):
+    message = tuple(i % 2 for i in range(other.k))
+    arg = message if name == "encode" else other.encode(message)
+    function = getattr(module, name)
+    for given in (arg, "2"):  # the family is checked before the word
+        with pytest.raises(ParameterError, match=f"expected {family}, got {type(other).__name__}"):
+            function(given, other)
