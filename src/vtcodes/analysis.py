@@ -11,16 +11,17 @@ The limits (binary length <= BINARY_LENGTH_LIMIT, q-ary word count <=
 QARY_WORD_LIMIT by default) are kept as the API contract. The constructive
 lower bound is the product of the encoder's message slot sizes
 (qary._slot_sizes), the count the encoder's rate is read from. Bounds use
-exact integer or rational arithmetic where possible; a bound reported as a
-float is refused with ParameterError where it leaves the float range, and
-rounded() rounds every float in a report to 6 decimal places.
+exact integer or rational arithmetic where possible. A bound reported as a
+float is refused with ParameterError where it leaves the float range; census
+rows report such a bound as None (an empty CSV cell, JSON null) and still
+carry the counts. rounded() rounds every float in a report to 6 decimal
+places.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections import deque
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -47,20 +48,14 @@ def _check_binary_length(n: int, limit: int) -> int:
     return n
 
 
-def _binary_prefix_counts(n: int):
-    """Yield counts_i for i = 0..n, where counts_i[s] counts the words over
-    positions 1..i with checksum s mod n + 1."""
+@lru_cache(maxsize=None)
+def _binary_census(n: int) -> tuple[int, ...]:
+    # counts[s]: words over positions 1..i with checksum s mod n + 1
     counts = [1] + [0] * n
-    yield counts
     for i in range(1, n + 1):
         # position i adds i to every word holding a 1 there
         counts = list(map(add, counts, counts[-i:] + counts[:-i]))
-        yield counts
-
-
-@lru_cache(maxsize=None)
-def _binary_census(n: int) -> tuple[int, ...]:
-    return tuple(deque(_binary_prefix_counts(n), maxlen=1)[0])
+    return tuple(counts)
 
 
 def binary_census(n: int, limit: int = BINARY_LENGTH_LIMIT) -> tuple[int, ...]:
@@ -287,6 +282,15 @@ def _check_residues(n: int, q: int, a: int | None, b: int | None) -> tuple:
     return a, b
 
 
+def _or_none(bound):
+    """bound(), or None where it raises ParameterError: the encoder has no
+    layout for the shape, or a float bound leaves the float range."""
+    try:
+        return bound()
+    except ParameterError:
+        return None
+
+
 def census_rows(
     n: int,
     q: int = 2,
@@ -298,7 +302,8 @@ def census_rows(
 
     q = 2 selects the binary family (one row per a, size window bounds);
     q >= 3 gives one row per (a, b) with the constructive lower bound (when
-    the shape supports it) and the single-deletion upper bound. Optional a/b
+    the shape supports it) and the single-deletion upper bound. A bound the
+    shape has none of, or one past the float range, is None. Optional a/b
     keep only the rows of one checksum residue a and/or one sum residue b; a
     residue outside the shape is refused before anything is counted.
     """
@@ -307,7 +312,7 @@ def census_rows(
     if q == 2:
         n = _check_binary_length(n, BINARY_LENGTH_LIMIT if limit is None else limit)
         a, b = _check_residues(n, q, a, b)
-        lo, hi = binary_size_bounds(n)
+        lo, hi = _or_none(lambda: binary_size_bounds(n)) or (None, None)
         rows = [
             CodeCensus(q=2, n=n, a=r, b=None, count=c, size_lower=lo, size_upper=hi)
             for r, c in enumerate(_binary_census(n))
@@ -315,11 +320,8 @@ def census_rows(
     else:
         n, q = _check_qary_shape(n, q, QARY_WORD_LIMIT if limit is None else limit)
         a, b = _check_residues(n, q, a, b)
-        upper = float_bound(single_deletion_size_bound(n, q), n, q)
-        try:
-            lower = qary_size_lower_bound(n, q)
-        except ParameterError:
-            lower = None
+        upper = _or_none(lambda: float_bound(single_deletion_size_bound(n, q), n, q))
+        lower = _or_none(lambda: qary_size_lower_bound(n, q))
         grid = _qary_census(n, q)
         rows = [
             CodeCensus(
@@ -359,10 +361,7 @@ def rows_report(rows: list[CodeCensus]) -> dict:
     if q == 2:
         rates = binary_rates(n)
     else:
-        try:
-            rates = rate_bounds(n, q).to_dict()
-        except ParameterError:
-            rates = None
+        rates = _or_none(lambda: rate_bounds(n, q).to_dict())
     return {
         "parameters": {"q": q, "n": n},
         "counts": [{"a": r.a, "b": r.b, "count": r.count} for r in rows],

@@ -107,14 +107,12 @@ def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
     positions then absorb the checksum deficit, bit j of the deficit landing
     in position 2**j.
     """
-    params = check_params(params, BinaryVtParams)
-    return params._encode(params._message(message))
+    return check_params(params, BinaryVtParams).encode(message)
 
 
 def extract(word: Iterable[int], params: BinaryVtParams) -> Word:
     """Read the message bits back out of a codeword."""
-    params = check_params(params, BinaryVtParams)
-    return params._extract(check_bits(word))
+    return check_params(params, BinaryVtParams).extract(word)
 
 
 def _levenshtein_restore(received: Word, m: int, a: int) -> tuple[Word, int] | None:
@@ -176,8 +174,7 @@ def correct(received: Iterable[int], params: BinaryVtParams) -> Word:
     result is checked against the code; the answer is unique because the
     code corrects any single edit.
     """
-    params = check_params(params, BinaryVtParams)
-    return params._correct(check_bits(received))
+    return check_params(params, BinaryVtParams).correct(received)
 
 
 def validate_syndrome_positions(n: int, positions: Iterable[int]) -> bool:

@@ -10,6 +10,8 @@ The trial loop validates no word: its messages are drawn as bits and every
 later word is the library's own output, so it calls the unchecked cores of
 the shared codec flow (words.CodeParams: _encode, _correct and _extract)
 and _apply here, which the public calls reach after their one validation.
+Each trial's event is drawn as plain fields; a ChannelEvent, which checks
+its fields, is built only for a trial that fails.
 """
 
 from __future__ import annotations
@@ -56,20 +58,20 @@ def apply_channel(word, event: ChannelEvent) -> Word:
     """Apply one event to a word. Deletion positions must lie in 0..len-1,
     insertion positions in 0..len; the caller guarantees the inserted symbol
     fits the word's alphabet."""
-    return _apply(check_symbols(word), event)
+    return _apply(check_symbols(word), event.kind, event.position, event.symbol)
 
 
-def _apply(w: Word, event: ChannelEvent) -> Word:
-    """apply_channel on a validated tuple."""
-    if event.kind == "identity":
+def _apply(w: Word, kind: str, position: int | None, symbol: int | None) -> Word:
+    """apply_channel on a validated tuple and a checked event's fields."""
+    if kind == "identity":
         return w
-    if event.kind == "deletion":
-        if event.position >= len(w):
-            raise ParameterError(f"deletion position {event.position} out of range 0..{len(w) - 1}")
-        return w[: event.position] + w[event.position + 1 :]
-    if event.position > len(w):
-        raise ParameterError(f"insertion position {event.position} out of range 0..{len(w)}")
-    return w[: event.position] + (event.symbol,) + w[event.position :]
+    if kind == "deletion":
+        if position >= len(w):
+            raise ParameterError(f"deletion position {position} out of range 0..{len(w) - 1}")
+        return w[:position] + w[position + 1 :]
+    if position > len(w):
+        raise ParameterError(f"insertion position {position} out of range 0..{len(w)}")
+    return w[:position] + (symbol,) + w[position:]
 
 
 @dataclass(frozen=True)
@@ -147,25 +149,23 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
     for i in range(trials):
         rng = random.Random((seed + i) * (seed + i + 1) // 2 + i)
         message = _text_bits(format(rng.getrandbits(k), f"0{k}b")) if k else ()
-        kind = channel_kind
+        kind, position, symbol = channel_kind, None, None
         if kind == "mixed":
             kind = "insertion" if rng.getrandbits(1) else "deletion"
         if kind == "deletion":
-            event = ChannelEvent("deletion", position=rng.randrange(n))
+            position = rng.randrange(n)
         elif kind == "insertion":
-            event = ChannelEvent("insertion", position=rng.randrange(n + 1), symbol=rng.randrange(q))
-        else:
-            event = ChannelEvent("identity")
+            position, symbol = rng.randrange(n + 1), rng.randrange(q)
         try:
-            received = _apply(encode(message), event)
-            decoded = extract(correct(received))
+            decoded = extract(correct(_apply(encode(message), kind, position, symbol)))
         except VtCodeError as exc:
-            failures.append(TrialFailure(i, message, event, f"{type(exc).__name__}: {exc}"))
-            continue
-        if decoded == message:
-            successes += 1
+            reason = f"{type(exc).__name__}: {exc}"
         else:
-            failures.append(TrialFailure(i, message, event, "extracted message differs"))
+            if decoded == message:
+                successes += 1
+                continue
+            reason = "extracted message differs"
+        failures.append(TrialFailure(i, message, ChannelEvent(kind, position, symbol), reason))
     wall = time.perf_counter() - start
     return TrialReport(
         params=params,

@@ -26,7 +26,7 @@ from itertools import chain, compress, islice
 from operator import ge
 from typing import Iterable, Sequence
 
-from .binary import _checksum, _levenshtein_restore, syndrome
+from .binary import _checksum, _levenshtein_restore
 from .errors import (
     CodecError,
     ExtractionError,
@@ -65,17 +65,13 @@ def _ascents(w: Sequence[int]) -> Word:
     return tuple(bytes(map(ge, w[1:], w)))
 
 
-def mod_sum(word: Iterable[int], q: int) -> int:
-    """Symbol sum mod q."""
-    q = check_int(q, "alphabet size", 2)
-    return sum(check_word(word, q)) % q
-
-
 def code_signature(word: Iterable[int], q: int) -> tuple[int, int]:
-    """(auxiliary checksum mod n, symbol sum mod q) of a word of length n."""
+    """(auxiliary checksum mod n, symbol sum mod q) of a word of length n >= 2."""
     q = check_int(q, "alphabet size")
     w = check_word(word, q)
-    return syndrome(aux_sequence(w)), sum(w) % q
+    if len(w) < 2:
+        raise ParameterError(f"word must have length at least 2, got {len(w)}")
+    return _checksum(_ascents(w), len(w)), sum(w) % q
 
 
 def _ilog2(x: int) -> int:
@@ -309,14 +305,13 @@ def is_member(word: Iterable[int], params: QaryVtParams) -> bool:
     return check_params(params, QaryVtParams).is_member(word)
 
 
-def step6_triple(w: int, q: int) -> tuple[int, int, int]:
-    """Three distinct ascending values summing to w mod q (alphabet q >= 4).
+def _step6_triple(w: int, q: int) -> tuple[int, int, int]:
+    """Three distinct ascending values summing to w mod q, for a residue
+    0 <= w < q of an alphabet q >= 4.
 
     The defaults 0, 1, w-1 collide when w is 1 or 2, so those two cases swap
     in the top symbol q - 1 instead.
     """
-    q = check_int(q, "alphabet size", 4)
-    w = check_residue(w, "target residue", q)
     if w == 1:
         return (0, 2, q - 1)
     if w == 2:
@@ -324,14 +319,11 @@ def step6_triple(w: int, q: int) -> tuple[int, int, int]:
     return (0, 1, (w - 1) % q)
 
 
-def arrange_prefix(triple: tuple[int, int, int], alpha1: int, alpha2: int) -> tuple[int, int, int]:
-    """Order three ascending values so the prefix realizes the two given
-    auxiliary bits: bit 1 compares positions 1 and 0, bit 2 positions 2 and 1."""
+def _arrange_prefix(triple: tuple[int, int, int], alpha1: int, alpha2: int) -> tuple[int, int, int]:
+    """Order three distinct ascending values so the prefix realizes the two
+    given auxiliary bits: bit 1 compares positions 1 and 0, bit 2 positions 2
+    and 1."""
     x, y, z = triple
-    if not x < y < z:
-        raise ParameterError(f"expected three distinct ascending values, got {triple!r}")
-    if alpha1 not in (0, 1) or alpha2 not in (0, 1):
-        raise ParameterError("auxiliary bits must be 0 or 1")
     if alpha1 and alpha2:
         return (x, y, z)
     if alpha1:
@@ -424,7 +416,7 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
         _finish_prefix_q3(c, aux, b)
     else:
         w = (b - sum(c[3:])) % q
-        c[0], c[1], c[2] = arrange_prefix(step6_triple(w, q), aux[1], aux[2])
+        c[0], c[1], c[2] = _arrange_prefix(_step6_triple(w, q), aux[1], aux[2])
     word = tuple(c)
     if not _matches_code(word, n, q, a, b):
         raise CodecError(f"encoder output misses the code (n={n}, q={q}, a={a}, b={b})")
@@ -433,14 +425,12 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
 
 def encode(message: Iterable[int], params: QaryVtParams) -> Word:
     """Systematically encode k message bits into a codeword."""
-    params = check_params(params, QaryVtParams)
-    return params._encode(params._message(message))
+    return check_params(params, QaryVtParams).encode(message)
 
 
 def extract(word: Iterable[int], params: QaryVtParams) -> Word:
     """Read the message bits back out of a codeword produced by encode()."""
-    params = check_params(params, QaryVtParams)
-    return params._extract(check_word(word, params.q))
+    return check_params(params, QaryVtParams).extract(word)
 
 
 def correct(received: Iterable[int], params: QaryVtParams) -> Word:
@@ -452,5 +442,4 @@ def correct(received: Iterable[int], params: QaryVtParams) -> Word:
     checked against both residues; the answer is unique because the code
     corrects any single edit.
     """
-    params = check_params(params, QaryVtParams)
-    return params._correct(check_word(received, params.q))
+    return check_params(params, QaryVtParams).correct(received)

@@ -1,5 +1,5 @@
 """Shared word handling: validation of integer arguments, residues and
-words, text formats, and block conversions.
+words, text formats, and the codecs' unchecked block conversions.
 
 Serialization conventions used throughout the package and the CLI: a bit
 sequence is a contiguous string of '0'/'1' characters with the lowest index
@@ -10,11 +10,10 @@ Words are validated once, at the public boundary: check_word and check_bits
 make one type pass and, for q <= 256, one bytes().translate() range pass,
 and the codecs hand the checked tuple to unchecked cores; CodeParams, the
 base of both params classes, holds that codec flow once, and check_params
-keeps each family's module functions to that family's params. The public
-block conversions likewise validate their input once and hand it to
-unchecked helpers that the q-ary codec calls directly. Bits convert through
-int() and format() on '0'/'1' text, base-q digits c at a time (q**c <= 256)
-through a per-base table.
+keeps each family's module functions to that family's params. The block
+conversions take only values the codecs made or already checked, so they
+check nothing: bits convert through int() and format() on '0'/'1' text,
+base-q digits c at a time (q**c <= 256) through a per-base table.
 """
 
 from __future__ import annotations
@@ -149,35 +148,6 @@ def parse_symbols(text: str) -> Word:
 
 def format_symbols(word: Iterable[int]) -> str:
     return " ".join(str(s) for s in check_symbols(word))
-
-
-def bits_to_int(bits: Iterable[int]) -> int:
-    """Big-endian: the first bit is the most significant."""
-    bits = check_bits(bits)
-    return int(_bit_text(bits), 2) if bits else 0
-
-
-def int_to_bits(value: int, width: int) -> Word:
-    value = _as_int(value)
-    width = check_int(width, "width", 0)
-    if value < 0 or value >> width:
-        raise ParameterError(f"{value} does not fit in {width} bits")
-    return _text_bits(format(value, f"0{width}b")) if width else ()
-
-
-def digits_to_int(digits: Iterable[int], base: int) -> int:
-    """Big-endian base conversion; the first digit is the most significant."""
-    base = check_int(base, "base", 2)
-    return _digits_value(check_word(digits, base), base)
-
-
-def int_to_digits(value: int, base: int, width: int) -> Word:
-    value = _as_int(value)
-    base = check_int(base, "base", 2)
-    width = check_int(width, "width", 0)
-    if value < 0 or value >= base**width:
-        raise ParameterError(f"{value} does not fit in {width} base-{base} digits")
-    return _value_digits(value, base, width)
 
 
 # Unchecked conversions for validated input. Bits travel as b"0101" text, so

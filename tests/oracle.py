@@ -12,8 +12,9 @@ kept so the differential tests can check the fast versions against them.
 - The per-symbol loops the library used before its linear-time encoder and
   extractor: the weighted checksums, the q-ary layout (free positions,
   message placement, auxiliary prefill, completion, encode, extract) and
-  the bit and digit conversions. The library must match them word for word
-  and raise the same exception types.
+  the bit and digit conversions. The library must match them word for word,
+  and its encoder and extractor must raise the same exception types; its
+  conversions are unchecked, so they are compared on valid input only.
 - The paper's closed form of the constructive q-ary size lower bound, which
   the library computes as the product of the encoder's slot sizes.
 - The word checks the library used before its one-pass range check: a type
@@ -41,12 +42,12 @@ from vtcodes.errors import (
 )
 from vtcodes.qary import (
     QaryVtParams,
+    _arrange_prefix,
     _code_shape,
     _finish_prefix_q3,
     _ilog2,
-    arrange_prefix,
+    _step6_triple,
     pair_table,
-    step6_triple,
 )
 from vtcodes.words import (
     Word,
@@ -304,7 +305,7 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
         _finish_prefix_q3(c, aux, b)
     else:
         w = (b - sum(c[3:])) % q
-        c[0], c[1], c[2] = arrange_prefix(step6_triple(w, q), aux[1], aux[2])
+        c[0], c[1], c[2] = _arrange_prefix(_step6_triple(w, q), aux[1], aux[2])
     word = tuple(c)
     if not _matches_code(word, n, q, a, b):
         raise CodecError(f"encoder output misses the code (n={n}, q={q}, a={a}, b={b})")

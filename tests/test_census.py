@@ -15,12 +15,16 @@ from vtcodes.analysis import (
     binary_size_bounds,
     binary_size_within_bounds,
     census_report,
+    census_csv,
     census_rows,
     enumerate_binary,
     enumerate_q,
+    float_bound,
     qary_census,
     qary_size_lower_bound,
     rate_bounds,
+    rows_report,
+    single_deletion_size_bound,
 )
 from vtcodes.cli import EXIT_USAGE, main
 from vtcodes.errors import ParameterError
@@ -99,7 +103,6 @@ def no_census(monkeypatch):
 
     monkeypatch.setattr(analysis, "_binary_census", fail)
     monkeypatch.setattr(analysis, "_qary_census", fail)
-    monkeypatch.setattr(analysis, "_binary_prefix_counts", fail)
     monkeypatch.setattr(analysis, "_binary_halves", fail)
 
 
@@ -134,15 +137,28 @@ FLOAT_RANGE_SHAPES = [(1100, 2), (1000, 4), (130, 256)]
 
 @pytest.mark.parametrize("n, q", FLOAT_RANGE_SHAPES)
 def test_size_bounds_past_the_float_range_are_refused(no_census, n, q):
-    with pytest.raises(ParameterError, match=rf"\(n={n}, q={q}\) exceed the float range"):
-        census_rows(n, q, limit=n if q == 2 else q**n)
     if q == 2:
-        with pytest.raises(ParameterError, match="float range"):
+        with pytest.raises(ParameterError, match=rf"\(n={n}, q={q}\) exceed the float range"):
             binary_size_bounds(n)
         assert binary_rates(n)["k"] == n - n.bit_length()
     else:
+        with pytest.raises(ParameterError, match=rf"\(n={n}, q={q}\) exceed the float range"):
+            float_bound(single_deletion_size_bound(n, q), n, q)
         assert rate_bounds(n, q).k == message_length(n, q)
         assert qary_size_lower_bound(n, q) == oracle.qary_size_lower_bound(n, q)
+
+
+# The binary shape, and the smallest q-ary shape for q = 8, whose float
+# bounds leave the float range; the counts are exact all the same.
+@pytest.mark.parametrize("n, q", [(1100, 2), (346, 8)])
+def test_census_rows_report_bounds_past_the_float_range_as_none(n, q):
+    rows = census_rows(n, q, limit=n if q == 2 else q**n)
+    assert sum(r.count for r in rows) == q**n
+    lower = None if q == 2 else qary_size_lower_bound(n, q)
+    assert {(r.size_lower, r.size_upper) for r in rows} == {(lower, None)}
+    last = census_csv(rows).splitlines()[-1]
+    assert last.endswith(f",{'' if lower is None else lower},")
+    assert rows_report(rows)["bounds"] == {"size_lower": lower, "size_upper": None}
 
 
 @pytest.mark.parametrize("q", [*range(3, 10), 17, 256])

@@ -215,6 +215,16 @@ def test_received_word_far_from_code_length_exits_1(capsys):
     capsys.readouterr()
 
 
+def test_enumerate_past_the_float_range_leaves_the_bounds_empty(capsys):
+    code, report = run_json(capsys, "enumerate", "--q", "2", "--n", "1100", "--limit", "1100")
+    assert code == EXIT_OK
+    assert report["bounds"] == {"size_lower": None, "size_upper": None}
+    assert sum(row["count"] for row in report["counts"]) == 2**1100
+    code, out = run(capsys, "enumerate", "--q", "2", "--n", "1100", "--limit", "1100", "--a", "0")
+    assert code == EXIT_OK
+    assert out.splitlines()[1].endswith(",,")
+
+
 @pytest.mark.parametrize("q, n", [("2", "1100"), ("4", "1000"), ("256", "130")])
 def test_bounds_past_the_float_range_exit_1(capsys, q, n):
     for extra in ([], ["--json"]):

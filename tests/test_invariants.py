@@ -13,6 +13,7 @@ from vtcodes.analysis import (
     binary_census,
     binary_codewords,
     binary_size_bounds,
+    binary_size_within_bounds,
     census_rows,
     enumerate_binary,
     enumerate_q,
@@ -29,17 +30,9 @@ from vtcodes.qary import (
     QaryVtParams,
     code_signature,
     message_length,
-    mod_sum,
     pair_table,
-    step6_triple,
 )
-from vtcodes.words import (
-    check_bits,
-    check_symbols,
-    check_word,
-    int_to_bits,
-    int_to_digits,
-)
+from vtcodes.words import check_bits, check_symbols, check_word
 
 from oracle import distinct_insertions
 
@@ -93,7 +86,7 @@ INT_CALLS = [
     (rate_bounds, (16, 8)),
     (pair_table, (3,)),
     (PairTable, (3,)),
-    (step6_triple, (1, 8)),
+    (lambda n: binary_size_within_bounds(n, 5), (10,)),
     (lambda trials, seed: run_trials(QaryVtParams(16, 8, 0, 1), "mixed", trials, seed), (3, 0)),
     (lambda p: ChannelEvent("deletion", position=p), (2,)),
     (lambda s: ChannelEvent("insertion", position=0, symbol=s), (2,)),
@@ -155,10 +148,6 @@ def test_word_symbols_reject_non_integers(bad):
         binary.encode((bad,) * 6, BinaryVtParams(10, 3))
     with pytest.raises(ParameterError):
         qary.correct((bad,) * 15, QaryVtParams(16, 8, 0, 1))
-    with pytest.raises(ParameterError):
-        int_to_bits(bad, 3)
-    with pytest.raises(ParameterError):
-        int_to_digits(bad, 3, 2)
 
 
 def test_word_symbol_errors_name_the_first_bad_symbol():
@@ -173,7 +162,6 @@ def test_word_symbol_errors_name_the_first_bad_symbol():
 # Calls that take a word and an alphabet size q.
 ALPHABET_CALLS = [
     check_word,
-    mod_sum,
     code_signature,
     lambda word, q: list(distinct_insertions(word, q)),
 ]

@@ -19,7 +19,8 @@ from vtcodes.errors import (
 from vtcodes.qary import (
     PairTable,
     QaryVtParams,
-    arrange_prefix,
+    _arrange_prefix,
+    _step6_triple,
     aux_sequence,
     code_signature,
     correct,
@@ -27,9 +28,7 @@ from vtcodes.qary import (
     extract,
     is_member,
     message_length,
-    mod_sum,
     pair_table,
-    step6_triple,
 )
 from vtcodes.words import parse_bitstring
 
@@ -62,17 +61,24 @@ def test_aux_sequence_needs_two_symbols():
 
 
 def test_mod_sum():
-    assert mod_sum(REF_WORD, 8) == 1
-    assert mod_sum(REF_WORD[3:], 8) == 0  # suffix sums to 48
-    assert mod_sum((0, 0, 0), 5) == 0
+    # the symbol sum mod q is the second entry of code_signature
+    assert code_signature(REF_WORD, 8)[1] == 1
+    assert code_signature(REF_WORD[3:], 8)[1] == 0  # suffix sums to 48
+    assert code_signature((0, 0, 0), 5)[1] == 0
     with pytest.raises(ParameterError):
-        mod_sum((0, 8), 8)
+        code_signature((0, 8), 8)
 
 
 def test_code_signature_is_aux_checksum_and_sum():
     syn, total = code_signature(REF_WORD, 8)
     assert syn == syndrome(aux_sequence(REF_WORD)) % 16 == 0
     assert total == 1
+    for n in range(2, 6):
+        for w in itertools.product(range(3), repeat=n):
+            assert code_signature(w, 3) == (syndrome(aux_sequence(w)), sum(w) % 3)
+    for short in [(), (2,)]:
+        with pytest.raises(ParameterError, match="length at least 2"):
+            code_signature(short, 3)
 
 
 def test_is_member():
@@ -197,29 +203,25 @@ def test_canonical_pair_bijection_and_errors():
 
 
 def test_step6_triple_examples():
-    assert step6_triple(1, 8) == (0, 2, 7)
-    assert step6_triple(2, 8) == (1, 2, 7)
-    assert step6_triple(0, 8) == (0, 1, 7)
-    assert step6_triple(3, 8) == (0, 1, 2)
+    assert _step6_triple(1, 8) == (0, 2, 7)
+    assert _step6_triple(2, 8) == (1, 2, 7)
+    assert _step6_triple(0, 8) == (0, 1, 7)
+    assert _step6_triple(3, 8) == (0, 1, 2)
 
 
 def test_step6_triple_all_small_alphabets():
     for q in range(4, 17):
         for w in range(q):
-            x, y, z = step6_triple(w, q)
+            x, y, z = _step6_triple(w, q)
             assert x < y < z <= q - 1
             assert (x + y + z) % q == w
-    with pytest.raises(ParameterError):
-        step6_triple(0, 3)
-    with pytest.raises(ParameterError):
-        step6_triple(8, 8)
 
 
 def test_arrange_prefix():
-    assert arrange_prefix((0, 2, 7), 0, 0) == (7, 2, 0)
-    assert arrange_prefix((0, 1, 2), 1, 1) == (0, 1, 2)
-    assert arrange_prefix((0, 1, 3), 1, 0) == (0, 3, 1)
-    assert arrange_prefix((0, 1, 3), 0, 1) == (1, 0, 3)
+    assert _arrange_prefix((0, 2, 7), 0, 0) == (7, 2, 0)
+    assert _arrange_prefix((0, 1, 2), 1, 1) == (0, 1, 2)
+    assert _arrange_prefix((0, 1, 3), 1, 0) == (0, 3, 1)
+    assert _arrange_prefix((0, 1, 3), 0, 1) == (1, 0, 3)
 
 
 def test_arrange_prefix_realizes_both_bits():
@@ -227,14 +229,10 @@ def test_arrange_prefix_realizes_both_bits():
     for triple in triples:
         for a1 in (0, 1):
             for a2 in (0, 1):
-                c0, c1, c2 = arrange_prefix(triple, a1, a2)
+                c0, c1, c2 = _arrange_prefix(triple, a1, a2)
                 assert sorted((c0, c1, c2)) == list(triple)
                 assert (1 if c1 >= c0 else 0) == a1
                 assert (1 if c2 >= c1 else 0) == a2
-    with pytest.raises(ParameterError):
-        arrange_prefix((2, 1, 0), 0, 0)
-    with pytest.raises(ParameterError):
-        arrange_prefix((0, 1, 2), 2, 0)
 
 
 def test_encode_reference_word_from_canonical_message():

@@ -1,5 +1,5 @@
-"""Word validation, text formats, block conversions, and the duplicate-free
-edit neighbourhoods."""
+"""Word validation, text formats, the unchecked block conversions against
+the oracle's per-digit ones, and the duplicate-free edit neighbourhoods."""
 
 import itertools
 
@@ -9,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from vtcodes.errors import ParameterError
 from vtcodes.words import (
-    bits_to_int,
+    _bit_text,
+    _chunking,
+    _digits_value,
+    _text_bits,
+    _value_digits,
     check_bits,
     check_symbols,
     check_word,
-    digits_to_int,
     format_bitstring,
     format_symbols,
-    int_to_bits,
-    int_to_digits,
     parse_bitstring,
     parse_symbols,
 )
@@ -70,29 +71,37 @@ def test_symbols_round_trip():
 
 
 def test_bits_int_conversions_are_big_endian():
-    assert bits_to_int((1, 1, 0)) == 6
-    assert int_to_bits(6, 3) == (1, 1, 0)
-    assert int_to_bits(0, 0) == ()
-    assert bits_to_int(()) == 0
-    for width in range(6):
+    assert int(_bit_text((1, 1, 0)), 2) == 6
+    assert _text_bits(format(6, "03b")) == (1, 1, 0)
+    assert _bit_text(()) == b"" and _text_bits("") == ()
+    for width in range(1, 6):
         for v in range(1 << width):
-            assert bits_to_int(int_to_bits(v, width)) == v
-    with pytest.raises(ParameterError):
-        int_to_bits(8, 3)
-    with pytest.raises(ParameterError):
-        int_to_bits(-1, 3)
+            bits = _text_bits(format(v, f"0{width}b"))
+            assert bits == oracle.int_to_bits(v, width)
+            assert int(_bit_text(bits), 2) == v
 
 
 def test_digit_conversions_are_big_endian():
-    assert int_to_digits(11, 3, 3) == (1, 0, 2)
-    assert digits_to_int((1, 0, 2), 3) == 11
+    assert _value_digits(11, 3, 3) == (1, 0, 2)
+    assert _digits_value((1, 0, 2), 3) == 11
     for base in (3, 5, 8):
         for v in range(base**3):
-            assert digits_to_int(int_to_digits(v, base, 3), base) == v
-    with pytest.raises(ParameterError):
-        int_to_digits(27, 3, 3)
-    with pytest.raises(ParameterError):
-        digits_to_int((3,), 3)
+            digits = _value_digits(v, base, 3)
+            assert digits == oracle.int_to_digits(v, base, 3)
+            assert _digits_value(digits, base) == v
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 16, 17, 40, 256, 257])
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_digit_round_trip_straddles_the_chunk_size(q, data):
+    # widths c - 1 .. 2c + 1 cover a partial, a whole and a second chunk
+    c = _chunking(q)[0]
+    width = data.draw(st.integers(max(c - 1, 0), 2 * c + 1), label="width")
+    value = data.draw(st.integers(0, q**width - 1), label="value")
+    digits = _value_digits(value, q, width)
+    assert digits == oracle.int_to_digits(value, q, width)
+    assert _digits_value(digits, q) == oracle.digits_to_int(digits, q) == value
 
 
 def naive_deletions(word):
