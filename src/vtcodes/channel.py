@@ -8,8 +8,10 @@ workers.
 
 The trial loop validates no word: its messages are drawn as bits and every
 later word is the library's own output, so it calls the unchecked cores of
-the shared codec flow (words.CodeParams: _encode, _correct and _extract)
+the shared codec flow (words.CodeParams: _encode, _correct and _read)
 and _apply here, which the public calls reach after their one validation.
+_correct returns only members of the code, so the message is read straight
+from its output, without extract's second membership pass.
 Each trial's event is drawn as plain fields; a ChannelEvent, which checks
 its fields, is built only for a trial that fails.
 """
@@ -141,7 +143,7 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
     # A shape the encoder refuses would fail every trial the same way.
     if params._unsupported:
         raise UnsupportedParametersError(f"{params._unsupported} to simulate")
-    encode, correct, extract = params._encode, params._correct, params._extract
+    encode, correct, read = params._encode, params._correct, params._read
     n, q, k = params.n, params.q, params.k
     start = time.perf_counter()
     successes = 0
@@ -157,7 +159,7 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
         elif kind == "insertion":
             position, symbol = rng.randrange(n + 1), rng.randrange(q)
         try:
-            decoded = extract(correct(_apply(encode(message), kind, position, symbol)))
+            decoded = read(correct(_apply(encode(message), kind, position, symbol)))
         except VtCodeError as exc:
             reason = f"{type(exc).__name__}: {exc}"
         else:

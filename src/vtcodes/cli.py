@@ -61,7 +61,8 @@ def _cmd_member(args):
 
 def _cmd_enumerate(args):
     rows = analysis.census_rows(args.n, args.q, args.limit, args.a, args.b)
-    return analysis.census_csv(rows), analysis.rows_report(rows)
+    # main's print ends the text; the CSV's own last newline would add a blank line
+    return analysis.census_csv(rows).removesuffix("\n"), analysis.rows_report(rows)
 
 
 def _cmd_bounds(args):

@@ -11,9 +11,13 @@ neighbours 2^j - 1, 2^j + 1. Free message symbols ride in the remaining
 positions; the neighbour pairs carry message data through a constrained value
 table; the reserved positions then absorb the checksum deficit and the first
 three symbols absorb the sum deficit. Lengths with n - 1 a power of two would
-need position n for the layout and are rejected. Encoding and extraction take
-O(n) work in builtins: the free symbols move as slices of runs between the
-reserved blocks and the comparisons and checksums are map/compress passes.
+need position n for the layout and are rejected. Encoding and extraction do
+their per-symbol work in builtins: the free symbols move as slices of runs
+between the reserved blocks, and the comparisons and checksums are
+map/compress passes. All of that is O(n). The free block's base conversion
+(words._value_digits) is O(n) C passes for power-of-two q; other alphabets
+divide and conquer, and CPython's big-integer division keeps that part
+growing faster than n.
 QaryVtParams gives these rules and Tenengolts' decoder (which restores the
 auxiliary sequence by the binary rule) to the shared words.CodeParams.
 """

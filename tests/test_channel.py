@@ -125,7 +125,7 @@ def test_run_trials_is_reproducible():
 
 def test_trial_draws_depend_only_on_seed_and_index(monkeypatch):
     # every trial fails, so failure_cases records each trial's draws
-    monkeypatch.setattr(QaryVtParams, "_extract", lambda self, word: ())
+    monkeypatch.setattr(QaryVtParams, "_read", lambda self, word: ())
     p = QaryVtParams(n=16, q=8, a=0, b=1)
     for seed in (0, 3):
         short = run_trials(p, "mixed", 8, seed).failure_cases
@@ -190,8 +190,8 @@ def public_trials(params, channel_kind, trials, seed):
 @pytest.mark.parametrize("failing", [False, True])
 def test_trial_loop_matches_the_public_calls(monkeypatch, p, kind, failing):
     if failing:  # every trial then fails, so the reports hold every draw
-        for name in ("extract", "_extract"):
-            monkeypatch.setattr(type(p), name, lambda self, word: (2,))
+        # extract and the trial loop both read the message through _read
+        monkeypatch.setattr(type(p), "_read", lambda self, word: (2,))
     for seed in (0, 3, 4242):
         assert run_trials(p, kind, 60, seed) == public_trials(p, kind, 60, seed)
 

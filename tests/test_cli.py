@@ -1,6 +1,8 @@
 """Drive the command-line interface through main(argv) and check text, JSON,
 and exit codes."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -91,6 +93,16 @@ def test_enumerate_csv_partitions(capsys):
     assert lines[0] == "q,n,a,b,count,size_lower,size_upper"
     assert len(lines) == 1 + 6 * 4
     assert sum(int(line.split(",")[4]) for line in lines[1:]) == 4**6
+
+
+@pytest.mark.parametrize("extra", [[], ["--a", "2"], ["--b", "1"]])
+def test_enumerate_csv_ends_in_one_newline(capsys, extra):
+    code, out = run(capsys, "enumerate", "--q", "3", "--n", "6", *extra)
+    assert code == EXIT_OK
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["q", "n", "a", "b", "count", "size_lower", "size_upper"]
+    assert all(rows), "csv.reader saw an empty row"
 
 
 def test_enumerate_filtered_json(capsys):

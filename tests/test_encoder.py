@@ -6,7 +6,9 @@ included. Property tests then draw supported lengths up to 4096 and alphabets
 up to 300, always including the alphabets where the digit conversions change
 how many digits they handle per step (q**c <= 256), and check that encode
 matches the oracle, extract inverts it, every output is a codeword and
-distinct messages give distinct words.
+distinct messages give distinct words. Round trips at n = 16384 carry free
+blocks past CPython's 4300-digit limit on int/str conversion in other bases
+than powers of two.
 """
 
 import itertools
@@ -124,7 +126,8 @@ def test_bit_conversions_match_the_oracle():
 @pytest.mark.parametrize("base", CONVERSION_BASES)
 def test_digit_conversions_match_the_oracle(base):
     rng = random.Random(base)
-    for width in [0, 1, 2, 3, 4, 5, 8, 9, 100]:
+    # 47..49 straddle the table width, 1000 takes bit planes or a split
+    for width in [0, 1, 2, 3, 4, 5, 8, 9, 47, 48, 49, 100, 1000]:
         top = base**width
         for value in {0, min(1, top - 1), top - 1, rng.randrange(top)}:
             digits = words._value_digits(value, base, width)
@@ -139,6 +142,20 @@ def test_digits_to_int_with_one_digit_per_step():
     p = QaryVtParams(20, 40, 3, 7)
     message = tuple(random.Random(40).randrange(2) for _ in range(p.k))
     assert extract(encode(message, p), p) == message
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_round_trip_past_the_int_string_limit(q):
+    p = QaryVtParams(16384, q, 7, 1)
+    rng = random.Random(q)
+    message = tuple(rng.randrange(2) for _ in range(p.k))
+    word = encode(message, p)
+    free = tuple(word[i] for i in p.free_positions)
+    assert len(free) > 4300
+    value = oracle.bits_to_int(message[: p._free_bits])
+    assert free == oracle.int_to_digits(value, q, len(free))
+    assert p.is_member(word)
+    assert extract(word, p) == message
 
 
 @settings(max_examples=200, deadline=None, database=None)

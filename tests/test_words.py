@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from vtcodes.errors import ParameterError
 from vtcodes.words import (
+    _LEAF_CHUNKS,
+    _TABLE_WIDTH,
     _bit_text,
     _chunking,
     _digits_value,
@@ -91,14 +93,35 @@ def test_digit_conversions_are_big_endian():
             assert _digits_value(digits, base) == v
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 8, 16, 17, 40, 256, 257])
+# Every power of two from 4 to 256, which convert by bit planes past the table
+# width, and bases that divide and conquer past a leaf of _LEAF_CHUNKS chunks,
+# with chunks of 1 to 5 digits.
+@st.composite
+def path_widths(draw, q):
+    """Widths that cover a partial, a whole and a second chunk of c digits,
+    or straddle the table width, the leaf size or twice it (where a second
+    split starts), or lie anywhere up to 16384."""
+    c = _chunking(q)[0]
+    leaf = c * _LEAF_CHUNKS
+    edges = [st.integers(edge - 2, edge + 2) for edge in (_TABLE_WIDTH, leaf, 2 * leaf)]
+    return draw(st.one_of(st.integers(max(c - 1, 0), 2 * c + 1), *edges, st.integers(0, 16384)))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 16, 17, 32, 40, 64, 128, 256, 257])
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
 def test_digit_round_trip_straddles_the_chunk_size(q, data):
-    # widths c - 1 .. 2c + 1 cover a partial, a whole and a second chunk
-    c = _chunking(q)[0]
-    width = data.draw(st.integers(max(c - 1, 0), 2 * c + 1), label="width")
-    value = data.draw(st.integers(0, q**width - 1), label="value")
+    width = data.draw(path_widths(q), label="width")
+    top = q**width
+    # a value past 64 bits comes from a drawn Random, so that a falsifying
+    # example prints no long decimal, which -X int_max_str_digits=640 refuses
+    pick = data.draw(st.sampled_from(["small", "top", "random"]), label="value")
+    if pick == "small":  # leading zero digits
+        value = data.draw(st.integers(0, min(top, 1 << 64) - 1), label="small value")
+    elif pick == "top":
+        value = top - 1
+    else:
+        value = data.draw(st.randoms(), label="rng").randrange(top)
     digits = _value_digits(value, q, width)
     assert digits == oracle.int_to_digits(value, q, width)
     assert _digits_value(digits, q) == oracle.digits_to_int(digits, q) == value
