@@ -14,10 +14,10 @@ three symbols absorb the sum deficit. Lengths with n - 1 a power of two would
 need position n for the layout and are rejected. Encoding and extraction do
 their per-symbol work in builtins: the free symbols move as slices of runs
 between the reserved blocks, and the comparisons and checksums are
-map/compress passes. All of that is O(n). The free block's base conversion
-(words._value_digits) is O(n) C passes for power-of-two q; other alphabets
-divide and conquer, and CPython's big-integer division keeps that part
-growing faster than n.
+map/compress passes. All of that is O(n). The free block moves to and from
+the message's bit text through words._text_digits and _digits_text: O(n) C
+passes for power-of-two q; other alphabets divide and conquer, and CPython's
+big-integer division keeps that part growing faster than n.
 QaryVtParams gives these rules and Tenengolts' decoder (which restores the
 auxiliary sequence by the binary rule) to the shared words.CodeParams.
 """
@@ -41,9 +41,9 @@ from .words import (
     CodeParams,
     Word,
     _bit_text,
-    _digits_value,
+    _digits_text,
     _text_bits,
-    _value_digits,
+    _text_digits,
     check_int,
     check_params,
     check_residue,
@@ -224,12 +224,11 @@ class QaryVtParams(CodeParams):
         table = pair_table(q)
         parts = []
         if self.free_positions:
-            width = self._free_bits
             free = chain.from_iterable(w[run.start : run.stop] for run in self._free_runs)
-            value = _digits_value(tuple(free), q)
-            if value >> width:
+            text = _digits_text(free, q, self._free_bits)
+            if text is None:
                 raise ExtractionError("free-position symbols exceed the message range")
-            parts.append(format(value, f"0{width}b"))
+            parts.append(text.decode())
         for left, right in self.pair_positions[1:]:
             try:
                 idx = table.pair_index((w[left], w[right]))
@@ -349,7 +348,7 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
     text = _bit_text(bits)
     used = params._free_bits
     if params.free_positions:
-        digits = iter(_value_digits(int(text[:used], 2), q, len(params.free_positions)))
+        digits = iter(_text_digits(text[:used], q, len(params.free_positions)))
         for run in params._free_runs:
             c[run.start : run.stop] = islice(digits, len(run))
     for left, right in params.pair_positions[1:]:

@@ -7,17 +7,16 @@ leftmost; a q-ary word is a run of space-separated decimal symbols, which
 stays unambiguous for alphabets larger than ten.
 
 Words are validated once, at the public boundary: check_word and check_bits
-make one type pass and, for q <= 256, one bytes().translate() range pass,
+make one type pass and, for q <= 256, one bytearray().translate() range pass,
 and the codecs hand the checked tuple to unchecked cores; CodeParams, the
 base of both params classes, holds that codec flow once, and check_params
 keeps each family's module functions to that family's params. The block
 conversions take only values the codecs made or already checked, so they
-check nothing. Bits convert through int() and format() on '0'/'1' text.
-Base-q digits convert c at a time (q**c <= 256) through a per-base table in
-short blocks; longer ones take C passes over bit planes when q = 2**b <= 256,
-and otherwise split in about halves by cached powers of q down to
-table-sized leaves. No base-q conversion goes through a string in a base other than a
-power of two, so none meets CPython's int/str digit limit.
+check nothing. The q-ary free block converts from and to '0'/'1' bit text:
+for q = 2**b <= 256 its digits are the text's b-bit groups, moved as bit
+planes by C passes; other alphabets go through an int split in about halves by
+cached powers of q down to leaves a per-base table converts c digits at a time
+(q**c <= 256). Only base-2 strings occur, so CPython's int/str limit never bites.
 """
 
 from __future__ import annotations
@@ -136,11 +135,11 @@ def parse_bitstring(text: str) -> Word:
     bad = set(text) - {"0", "1"}
     if bad:
         raise ParameterError(f"bit string may only contain 0 and 1, got {sorted(bad)}")
-    return tuple(int(c) for c in text)
+    return _text_bits(text)
 
 
 def format_bitstring(bits: Iterable[int]) -> str:
-    return "".join(str(b) for b in check_bits(bits))
+    return _bit_text(check_bits(bits)).decode()
 
 
 def parse_symbols(text: str) -> Word:
@@ -155,8 +154,7 @@ def format_symbols(word: Iterable[int]) -> str:
     return " ".join(str(s) for s in check_symbols(word))
 
 
-# Unchecked conversions for validated input. Bits travel as b"0101" text, so
-# int(), format() and bytes.translate do the per-bit work.
+# Unchecked conversions: bits travel as b"0101" text, so builtins do the per-bit work.
 _TO_TEXT = bytes.maketrans(b"\0\1", b"01")
 _FROM_TEXT = bytes.maketrans(b"01", b"\0\1")
 
@@ -169,15 +167,9 @@ def _text_bits(text: str) -> Word:
     return tuple(text.encode().translate(_FROM_TEXT))
 
 
-# Widths up to this many digits convert through the chunk table in every
-# base. Timed on a 2-vCPU Xeon (Python 3.11), the bit-plane passes beat the
-# table from about 12 digits at q = 4 and 8 but only from about 48 at q = 64
-# to 256, so the 7-digit free block at n = 16 stays on the table.
-_TABLE_WIDTH = 48
 # Divide and conquer stops at leaves of 64 chunks (about 500 bits), where the
 # table loop's divmods are still cheap next to its per-chunk interpreter cost.
 _LEAF_CHUNKS = 64
-_DIGIT_CHARS = bytes.maketrans(bytes(range(32)), b"0123456789abcdefghijklmnopqrstuv")
 
 
 @lru_cache(maxsize=None)
@@ -223,14 +215,6 @@ def _split(width: int, leaf: int) -> int:
 
 def _value_digits(value: int, base: int, width: int) -> Word:
     """The width big-endian base-`base` digits of 0 <= value < base**width."""
-    planes = _bit_planes(base) if width > _TABLE_WIDTH else ()
-    if planes:  # digit bits j, j + b, ... of the binary text form plane j
-        b = len(planes)
-        text = format(value, f"0{width * b}b").encode()
-        total = 0
-        for j, (weight, _) in enumerate(planes):
-            total += int.from_bytes(text[j::b].translate(weight), "big")
-        return tuple(total.to_bytes(width, "big"))  # no plane sum carries
     c, table, _ = _chunking(base)
     if width > c * _LEAF_CHUNKS:
         low = _split(width, c * _LEAF_CHUNKS)
@@ -250,15 +234,6 @@ def _value_digits(value: int, base: int, width: int) -> Word:
 def _digits_value(digits: Sequence[int], base: int) -> int:
     """The value of big-endian base-`base` digits, the inverse of _value_digits."""
     width = len(digits)
-    planes = _bit_planes(base) if width > _TABLE_WIDTH else ()
-    if planes:  # power-of-two bases are linear in int() and exempt from its digit limit
-        if base <= 32:
-            return int(bytes(digits).translate(_DIGIT_CHARS), base)
-        b, digits = len(planes), bytes(digits)
-        text = bytearray(width * b)
-        for j, (_, bit) in enumerate(planes):
-            text[j::b] = digits.translate(bit)
-        return int(text, 2)
     c, _, values = _chunking(base)
     if width > c * _LEAF_CHUNKS:
         low = _split(width, c * _LEAF_CHUNKS)
@@ -271,6 +246,32 @@ def _digits_value(digits: Sequence[int], base: int) -> int:
     for d in digits:
         value = value * chunk + d
     return value
+
+
+def _text_digits(text: bytes, base: int, width: int) -> Word:
+    """The width big-endian base-`base` digits of the value in '0'/'1' text,
+    which for base = 2**b <= 256 holds b * width bits: plane j is text[j::b]."""
+    planes = _bit_planes(base)
+    if not planes:
+        return _value_digits(int(text or b"0", 2), base, width)
+    b, total = len(planes), 0
+    for j, (weight, _) in enumerate(planes):
+        total += int.from_bytes(text[j::b].translate(weight), "big")
+    return tuple(total.to_bytes(width, "big"))  # no plane sum carries
+
+
+def _digits_text(digits: Iterable[int], base: int, bits: int) -> bytes | bytearray | None:
+    """The digits' value as `bits` '0'/'1' bytes, or None when it needs more:
+    the inverse of _text_digits. bits is b * len(digits) for base = 2**b."""
+    planes = _bit_planes(base)
+    if not planes:
+        value = _digits_value(tuple(digits), base)  # the lead 1 below keeps 0 bits empty
+        return None if value >> bits else format(value | 1 << bits, "b")[1:].encode()
+    b, digits = len(planes), bytes(digits)
+    text = bytearray(len(digits) * b)
+    for j, (_, bit) in enumerate(planes):
+        text[j::b] = digits.translate(bit)
+    return text
 
 
 class CodeParams:

@@ -20,6 +20,8 @@ kept so the differential tests can check the fast versions against them.
 - The word checks the library used before its one-pass range check: a type
   pass, then min for negative symbols and max for out-of-range ones. The
   library must return the same tuple or raise the same message.
+- The per-character bit-string parser and formatter the library used before
+  its translate() passes; the library must give the same result or message.
 
 The duplicate-free single-edit neighbourhoods and the error for an
 ambiguous correction live here too: only the candidate search and the tests
@@ -410,6 +412,17 @@ def int_to_digits(value: int, base: int, width: int) -> Word:
         value, d = divmod(value, base)
         out.append(d)
     return tuple(reversed(out))
+
+
+def parse_bitstring(text: str) -> Word:
+    bad = set(text) - {"0", "1"}
+    if bad:
+        raise ParameterError(f"bit string may only contain 0 and 1, got {sorted(bad)}")
+    return tuple(int(c) for c in text)
+
+
+def format_bitstring(bits: Iterable[int]) -> str:
+    return "".join(str(b) for b in check_bits(bits))
 
 
 def check_symbols(word: Iterable[int]) -> Word:

@@ -19,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from vtcodes import binary, qary, words
+from vtcodes.errors import ExtractionError
 from vtcodes.qary import QaryVtParams, _place_message, _prefill_aux, aux_sequence, encode, extract
 
-# Digits per conversion step: 5 at q = 3, 4 at q = 4, 2 at q = 15 and 16 (the
-# top of a byte-sized chunk), 1 from q = 17 on. 36/37 bracket int()'s largest
-# base and 256/257 the largest one-byte symbol.
+# Digits per table step: 5 at q = 3, 2 at q = 15 (the top of a byte-sized
+# chunk), 1 from q = 17 on; 4, 16, 64 and 256 take bit planes instead.
+# 256/257 bracket the largest one-byte symbol.
 BOUNDARY_ALPHABETS = (3, 4, 15, 16, 17, 36, 37, 40, 64, 256, 257)
 
 
@@ -126,13 +127,31 @@ def test_bit_conversions_match_the_oracle():
 @pytest.mark.parametrize("base", CONVERSION_BASES)
 def test_digit_conversions_match_the_oracle(base):
     rng = random.Random(base)
-    # 47..49 straddle the table width, 1000 takes bit planes or a split
-    for width in [0, 1, 2, 3, 4, 5, 8, 9, 47, 48, 49, 100, 1000]:
+    # 1000 digits take a split in every base that is not a power of two
+    for width in [0, 1, 2, 3, 4, 5, 8, 9, 64, 100, 1000]:
         top = base**width
+        bits = top.bit_length() - 1  # the encoder's free-block bits
         for value in {0, min(1, top - 1), top - 1, rng.randrange(top)}:
-            digits = words._value_digits(value, base, width)
-            assert digits == oracle.int_to_digits(value, base, width)
-            assert words._digits_value(digits, base) == oracle.digits_to_int(digits, base) == value
+            digits = oracle.int_to_digits(value, base, width)
+            text = words._digits_text(digits, base, bits)
+            if value >> bits:  # past the block's bits, which no power of two reaches
+                assert text is None and base & (base - 1)
+                text = format(value, "b").encode()
+            else:
+                assert text == words._bit_text(oracle.int_to_bits(value, bits))
+            assert words._text_digits(text, base, width) == digits
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_extract_refuses_free_symbols_past_the_message_range(q):
+    # q**W - 1 needs one bit more than the free block's floor(log2(q**W))
+    p = QaryVtParams(400, q, 3, 1)
+    c = _place_message((0,) * p.k, p)
+    for i in p.free_positions:
+        c[i] = q - 1
+    word = qary._complete_codeword(c, p)
+    assert p.is_member(word)
+    assert outcome(extract, word, p) is outcome(oracle.extract_q, word, p) is ExtractionError
 
 
 def test_digits_to_int_with_one_digit_per_step():

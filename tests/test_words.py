@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 from vtcodes.errors import ParameterError
 from vtcodes.words import (
     _LEAF_CHUNKS,
-    _TABLE_WIDTH,
     _bit_text,
     _chunking,
-    _digits_value,
+    _digits_text,
     _text_bits,
-    _value_digits,
+    _text_digits,
     check_bits,
     check_symbols,
     check_word,
@@ -84,26 +83,34 @@ def test_bits_int_conversions_are_big_endian():
 
 
 def test_digit_conversions_are_big_endian():
-    assert _value_digits(11, 3, 3) == (1, 0, 2)
-    assert _digits_value((1, 0, 2), 3) == 11
-    for base in (3, 5, 8):
-        for v in range(base**3):
-            digits = _value_digits(v, base, 3)
+    assert _text_digits(b"1011", 3, 3) == (1, 0, 2)
+    assert _digits_text((1, 0, 2), 3, 4) == b"1011"
+    assert _text_digits(b"001011", 4, 3) == (0, 2, 3)
+    assert _digits_text((0, 2, 3), 4, 6) == b"001011"
+    for base in (3, 4, 5, 8, 256):  # an empty block
+        assert _text_digits(b"", base, 0) == () and _digits_text((), base, 0) == b""
+    for base, bits in [(3, 4), (5, 6), (8, 9)]:
+        for v in range(1 << bits):
+            text = format(v, f"0{bits}b").encode()
+            digits = _text_digits(text, base, 3)
             assert digits == oracle.int_to_digits(v, base, 3)
-            assert _digits_value(digits, base) == v
+            assert _digits_text(digits, base, bits) == text
 
 
-# Every power of two from 4 to 256, which convert by bit planes past the table
+# Every power of two from 4 to 256, which convert by bit planes at every
 # width, and bases that divide and conquer past a leaf of _LEAF_CHUNKS chunks,
 # with chunks of 1 to 5 digits.
 @st.composite
 def path_widths(draw, q):
-    """Widths that cover a partial, a whole and a second chunk of c digits,
-    or straddle the table width, the leaf size or twice it (where a second
-    split starts), or lie anywhere up to 16384."""
+    """For a power of two, any width up to 64 or up to 16384; otherwise widths
+    that cover a partial, a whole and a second chunk of c digits, or straddle
+    the leaf size or twice it (where a second split starts), or lie anywhere
+    up to 16384."""
+    if q & (q - 1) == 0:
+        return draw(st.one_of(st.integers(0, 64), st.integers(0, 16384)))
     c = _chunking(q)[0]
     leaf = c * _LEAF_CHUNKS
-    edges = [st.integers(edge - 2, edge + 2) for edge in (_TABLE_WIDTH, leaf, 2 * leaf)]
+    edges = [st.integers(edge - 2, edge + 2) for edge in (leaf, 2 * leaf)]
     return draw(st.one_of(st.integers(max(c - 1, 0), 2 * c + 1), *edges, st.integers(0, 16384)))
 
 
@@ -122,9 +129,16 @@ def test_digit_round_trip_straddles_the_chunk_size(q, data):
         value = top - 1
     else:
         value = data.draw(st.randoms(), label="rng").randrange(top)
-    digits = _value_digits(value, q, width)
-    assert digits == oracle.int_to_digits(value, q, width)
-    assert _digits_value(digits, q) == oracle.digits_to_int(digits, q) == value
+    digits = oracle.int_to_digits(value, q, width)
+    bits = top.bit_length() - 1  # the encoder's free-block bits, b * width for q = 2**b
+    text = _digits_text(digits, q, bits)
+    if text is None:  # only a base that is not a power of two overflows the bits
+        assert value >> bits and q & (q - 1)
+        text = format(value, "b").encode()
+    else:
+        assert len(text) == bits and not value >> bits
+    assert int(text or b"0", 2) == oracle.digits_to_int(digits, q) == value
+    assert _text_digits(text, q, width) == digits
 
 
 def naive_deletions(word):
@@ -192,3 +206,24 @@ def test_word_checks_match_the_min_max_oracle(case):
     assert outcome(check_symbols, container(word)) == outcome(oracle.check_symbols, container(word))
     if q == 2:
         assert outcome(check_bits, container(word)) == expected
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.text("01", max_size=80), st.text("01x2 \u00e9", max_size=20), st.text(max_size=8)))
+def test_bitstring_parsing_matches_the_per_character_oracle(text):
+    assert outcome(parse_bitstring, text) == outcome(oracle.parse_bitstring, text)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 1), max_size=80),
+        st.lists(st.sampled_from([0, 1, 2, -1, True, np.int64(1), 1.0]), max_size=20),
+        st.text("01", max_size=8),
+    )
+)
+def test_bitstring_formatting_matches_the_per_character_oracle(bits):
+    expected = outcome(oracle.format_bitstring, bits)
+    assert outcome(format_bitstring, bits) == expected
+    if not expected.startswith("ParameterError"):
+        assert parse_bitstring(format_bitstring(bits)) == check_bits(bits)
