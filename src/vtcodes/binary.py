@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import chain, compress, count
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
@@ -69,8 +69,16 @@ class BinaryVtParams(CodeParams):
     @cached_property
     def message_positions(self) -> Word:
         """The k lowest non-dyadic positions, ascending (3, 5, 6, 7, 9, ..)."""
-        dyadic = set(self.dyadic_positions)
-        return tuple(p for p in range(1, self.n + 1) if p not in dyadic)[: self.k]
+        runs = self._message_runs
+        return tuple(chain.from_iterable(range(r.start + 1, r.stop + 1) for r in runs))
+
+    @cached_property
+    def _message_runs(self) -> tuple[slice, ...]:
+        """The message positions as word index slices: positions 2^j + 1 ..
+        2^(j+1) - 1 for j = 1 .. t - 1, the last run cut at n. The k
+        non-dyadic positions are exactly these, and run j starts at message
+        bit 2^j - j - 1."""
+        return tuple(slice(1 << j, min((2 << j) - 1, self.n)) for j in range(1, self.t))
 
     def _check(self, word: Iterable[int]) -> Word:
         return check_bits(word)
@@ -80,15 +88,16 @@ class BinaryVtParams(CodeParams):
 
     def _encode(self, bits: Word) -> Word:
         word = [0] * self.n
-        for pos, bit in zip(self.message_positions, bits):
-            word[pos - 1] = bit
+        for j, run in enumerate(self._message_runs, 1):
+            word[run] = bits[run.start - j - 1 : run.stop - j - 1]
         deficit = (self.a - _checksum(word, self.n + 1)) % (self.n + 1)
         for j, pos in enumerate(self.dyadic_positions):
             word[pos - 1] = (deficit >> j) & 1
         return tuple(word)
 
     def _read(self, bits: Word) -> Word:
-        return tuple(bits[pos - 1] for pos in self.message_positions)
+        # the runs double in length, so the joins copy about 2k bits in all
+        return sum(map(bits.__getitem__, self._message_runs), ())
 
     def _restore(self, received: Word) -> Word | None:
         restored = _levenshtein_restore(received, self.n, self.a)
@@ -115,7 +124,9 @@ def extract(word: Iterable[int], params: BinaryVtParams) -> Word:
     return check_params(params, BinaryVtParams).extract(word)
 
 
-def _levenshtein_restore(received: Word, m: int, a: int) -> tuple[Word, int] | None:
+def _levenshtein_restore(
+    received: Word, m: int, a: int, weight: int | None = None, total: int | None = None
+) -> tuple[Word, int] | None:
     """Levenshtein's decoder for the length-m code with checksum a mod (m + 1).
 
     received has length m - 1 (one bit lost) or m + 1 (one bit gained). Let w
@@ -128,10 +139,12 @@ def _levenshtein_restore(received: Word, m: int, a: int) -> tuple[Word, int] | N
     Returns the restored word and the 0-based index of the edit in the longer
     of the two words; inside a run every index gives the same word, and the
     leftmost is reported. A lost bit can always be put back; None means that
-    removing no single bit lands in the code. One pass, O(m).
+    removing no single bit lands in the code. One pass, O(m). A caller that
+    already has the weight and the checksum sum(i * r_i) of received passes
+    them in.
     """
-    weight = sum(received)
-    total = sum(compress(count(1), received))
+    if weight is None:
+        weight, total = sum(received), sum(compress(count(1), received))
     if len(received) == m - 1:
         deficit = (a - total) % (m + 1)
         if deficit <= weight:

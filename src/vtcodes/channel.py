@@ -150,7 +150,7 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
     failures: list[TrialFailure] = []
     for i in range(trials):
         rng = random.Random((seed + i) * (seed + i + 1) // 2 + i)
-        message = _text_bits(format(rng.getrandbits(k), f"0{k}b")) if k else ()
+        message = _text_bits(format(rng.getrandbits(k), f"0{k}b").encode()) if k else ()
         kind, position, symbol = channel_kind, None, None
         if kind == "mixed":
             kind = "insertion" if rng.getrandbits(1) else "deletion"

@@ -13,11 +13,19 @@ table; the reserved positions then absorb the checksum deficit and the first
 three symbols absorb the sum deficit. Lengths with n - 1 a power of two would
 need position n for the layout and are rejected. Encoding and extraction do
 their per-symbol work in builtins: the free symbols move as slices of runs
-between the reserved blocks, and the comparisons and checksums are
-map/compress passes. All of that is O(n). The free block moves to and from
-the message's bit text through words._text_digits and _digits_text: O(n) C
-passes for power-of-two q; other alphabets divide and conquer, and CPython's
-big-integer division keeps that part growing faster than n.
+between the reserved blocks. The auxiliary bits come from one lane kernel
+(SIMD within a register, on a big int): for q <= 128, with x the word's
+bytes read as a little-endian int and H = 0x80 in every byte lane, lane i of
+((x >> 8 | H) - x) & H holds 0x80 exactly when c_{i+1} >= c_i, since each
+lane keeps a spare top bit and no borrow crosses lanes; larger alphabets
+compare per symbol with map. The weighted checksum of those bits is then
+about log2(n) / 3 AND/popcount steps (see _LaneConstants), not n additions.
+Membership, encoding and Tenengolts' decoder all take their auxiliary bits
+and checksums from it. All of that is O(n). The free
+block moves to and from the message's bit text through words._text_digits
+and _digits_text: O(n) C passes for power-of-two q; other alphabets divide
+and conquer, and CPython's big-integer division keeps that part growing
+faster than n.
 QaryVtParams gives these rules and Tenengolts' decoder (which restores the
 auxiliary sequence by the binary rule) to the shared words.CodeParams.
 """
@@ -26,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from operator import ge
 from typing import Iterable, Sequence
 
-from .binary import _checksum, _levenshtein_restore
+from .binary import _levenshtein_restore
 from .errors import (
     CodecError,
     ExtractionError,
@@ -61,21 +69,74 @@ def aux_sequence(word: Iterable[int]) -> Word:
     w = check_symbols(word)
     if len(w) < 2:
         raise ParameterError(f"word must have length at least 2, got {len(w)}")
-    return _ascents(w)
-
-
-def _ascents(w: Sequence[int]) -> Word:
-    """The auxiliary bits of a validated word, 0/1 ints."""
-    return tuple(bytes(map(ge, w[1:], w)))
+    return _ascents(w, max(w) + 1)
 
 
 def code_signature(word: Iterable[int], q: int) -> tuple[int, int]:
     """(auxiliary checksum mod n, symbol sum mod q) of a word of length n >= 2."""
     q = check_int(q, "alphabet size")
     w = check_word(word, q)
-    if len(w) < 2:
-        raise ParameterError(f"word must have length at least 2, got {len(w)}")
-    return _checksum(_ascents(w), len(w)), sum(w) % q
+    n = len(w)
+    if n < 2:
+        raise ParameterError(f"word must have length at least 2, got {n}")
+    high, levels = _LANES[n - 1]
+    return _flag_checksum(_ascent_flags(w, q, high), levels) % n, sum(w) % q
+
+
+class _LaneConstants(dict):
+    """The lane kernel's constants for m byte lanes, built on first lookup:
+    (high, levels). high holds 0x80 in every lane. levels[l] holds, at the
+    bottom of lane i, d one bits for the base-8 digit d = ((i + 1) >> 3l) & 7
+    of the lane's weight, so that with flags holding 0 or 1 per lane, the sum
+    of popcount(255 * flags & levels[l]) << 3l over l is the sum of i + 1 over
+    the set lanes: ceil(bit_length(m) / 3) AND/popcount steps in all.
+    """
+
+    def __missing__(self, m: int) -> tuple[int, tuple[int, ...]]:
+        if len(self) >= 256:  # keeps memory bounded when many lengths pass through
+            self.clear()
+        levels = []
+        for shift in range(0, m.bit_length(), 3):
+            run = 1 << shift  # consecutive weights that share the digit
+            cycle = b"".join(bytes([(1 << d) - 1]) * run for d in range(8))
+            lanes = (cycle * (m // len(cycle) + 1))[1 : m + 1]  # weights 1 .. m
+            levels.append(int.from_bytes(lanes, "little"))
+        self[m] = found = (int.from_bytes(b"\x80" * m, "little"), tuple(levels))
+        return found
+
+
+_LANES = _LaneConstants()
+
+
+def _ascent_flags(w: Sequence[int], q: int, high: int) -> int:
+    """The auxiliary bits of a checked word over alphabet q, as an int whose
+    byte lane i (little-endian) holds 1 when w[i + 1] >= w[i], else 0; high
+    is _LANES[len(w) - 1][0]. For q <= 128 every lane of (x >> 8) | high
+    exceeds the matching lane of x, whose top bit is clear, so the
+    subtraction borrows across no lane below m and leaves each lane's top bit
+    set exactly when w[i + 1] >= w[i]; & high drops x's lane m, w[-1], which
+    borrows from above."""
+    if q > 128:  # no spare top bit: compare per symbol
+        return int.from_bytes(bytes(map(ge, w[1:], w)), "little")
+    x = int.from_bytes(bytes(w), "little")
+    return ((((x >> 8) | high) - x) & high) >> 7
+
+
+def _flag_checksum(flags: int, levels: tuple[int, ...]) -> int:
+    """The sum of i + 1 over the byte lanes i of flags that hold 1, levels
+    coming from _LANES (see _LaneConstants)."""
+    spread = flags * 255
+    total = shift = 0
+    for level in levels:
+        total += (spread & level).bit_count() << shift
+        shift += 3
+    return total
+
+
+def _ascents(w: Sequence[int], q: int) -> Word:
+    """The auxiliary bits of a checked word over alphabet q, 0/1 ints."""
+    m = len(w) - 1
+    return tuple(_ascent_flags(w, q, _LANES[m][0]).to_bytes(m, "little"))
 
 
 def _ilog2(x: int) -> int:
@@ -222,13 +283,13 @@ class QaryVtParams(CodeParams):
     def _read(self, w: Word) -> Word:
         q = self.q
         table = pair_table(q)
-        parts = []
+        text = b""
         if self.free_positions:
             free = chain.from_iterable(w[run.start : run.stop] for run in self._free_runs)
             text = _digits_text(free, q, self._free_bits)
             if text is None:
                 raise ExtractionError("free-position symbols exceed the message range")
-            parts.append(text.decode())
+        slots = 1  # the pair and position-5 indices in turn, under a lead 1
         for left, right in self.pair_positions[1:]:
             try:
                 idx = table.pair_index((w[left], w[right]))
@@ -238,7 +299,7 @@ class QaryVtParams(CodeParams):
                 ) from exc
             if idx >> table.pair_bits:
                 raise ExtractionError(f"pair at positions {left}, {right} exceeds the message range")
-            parts.append(format(idx, f"0{table.pair_bits}b"))
+            slots = slots << table.pair_bits | idx
         if q == 3:
             if w[5] != 2 or w[3] not in (1, 2):
                 raise ExtractionError("positions 3 and 5 do not match the encoder layout")
@@ -251,8 +312,8 @@ class QaryVtParams(CodeParams):
                 raise ExtractionError(f"position 5 holds the excluded value {w[5]}") from exc
             if idx >> table.single_bits:
                 raise ExtractionError("position 5 exceeds the message range")
-            parts.append(format(idx, f"0{table.single_bits}b"))
-        bits = _text_bits("".join(parts))
+            slots = slots << table.single_bits | idx
+        bits = _text_bits(text + format(slots, "b")[1:].encode())
         if len(bits) != self.k:
             raise CodecError(f"extracted {len(bits)} message bits, expected {self.k}")
         return bits
@@ -273,8 +334,11 @@ class QaryVtParams(CodeParams):
         deletion = len(r) == n - 1
         total = sum(r)
         symbol = (b - total) % q if deletion else (total - b) % q
-        aux = _ascents(r)
-        restored = _levenshtein_restore(aux, n - 1, a)
+        high, levels = _LANES[len(r) - 1]
+        flags = _ascent_flags(r, q, high)
+        aux = tuple(flags.to_bytes(len(r) - 1, "little"))
+        checksum = _flag_checksum(flags, levels)
+        restored = _levenshtein_restore(aux, n - 1, a, flags.bit_count(), checksum)
         if restored is None:
             return None
         target, edit = restored
@@ -299,8 +363,8 @@ class QaryVtParams(CodeParams):
 
 def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
     """Membership test for an already validated word of length n."""
-    syn = sum(compress(range(1, n), map(ge, w[1:], w)))
-    return syn % n == a and sum(w) % q == b
+    high, levels = _LANES[n - 1]
+    return _flag_checksum(_ascent_flags(w, q, high), levels) % n == a and sum(w) % q == b
 
 
 def is_member(word: Iterable[int], params: QaryVtParams) -> bool:
@@ -376,7 +440,7 @@ def _prefill_aux(c: Sequence, params: QaryVtParams) -> list:
     reserved = params.dyadic_positions[2:]
     for pos in reserved:
         tail[pos - 3] = 0
-    aux = [0, 0, 0, 1, *_ascents(tail)]  # index i compares positions i and i-1
+    aux = [0, 0, 0, 1, *_ascents(tail, params.q)]  # index i compares positions i and i-1
     for pos in reserved:
         aux[pos] = 0
         aux[pos + 1] = int(c[pos + 1] >= c[pos - 1])
@@ -410,7 +474,8 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
     positions are already set, landing it on the target residues."""
     n, q, a, b = params.n, params.q, params.a, params.b
     aux = _prefill_aux(c, params)
-    deficit = (a - _checksum(aux[1:], n)) % n
+    flags = int.from_bytes(bytes(aux), "little") >> 8  # aux[1:], lane i holding aux[i + 1]
+    deficit = (a - _flag_checksum(flags, _LANES[n - 1][1])) % n
     for j, pos in enumerate(params.dyadic_positions):
         aux[pos] = (deficit >> j) & 1
     for pos in params.dyadic_positions[2:]:

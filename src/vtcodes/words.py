@@ -90,8 +90,15 @@ def _non_negative(out: Word) -> Word:
 
 def check_symbols(word: Iterable[int]) -> Word:
     """Validate a sequence of non-negative integer symbols (alphabet unknown).
-    numpy integers are accepted; bool, float and str symbols are refused."""
-    return _non_negative(_int_symbols(word))
+    numpy integers are accepted; bool, float and str symbols are refused.
+    A word bytearray() accepts holds only symbols in 0..255 and needs no
+    min pass."""
+    out = _int_symbols(word)
+    try:
+        bytearray(out)
+    except ValueError:  # a symbol outside 0..255
+        return _non_negative(out)
+    return out
 
 
 _BYTE_VALUES = bytes(range(256))
@@ -135,7 +142,7 @@ def parse_bitstring(text: str) -> Word:
     bad = set(text) - {"0", "1"}
     if bad:
         raise ParameterError(f"bit string may only contain 0 and 1, got {sorted(bad)}")
-    return _text_bits(text)
+    return _text_bits(text.encode())
 
 
 def format_bitstring(bits: Iterable[int]) -> str:
@@ -163,8 +170,8 @@ def _bit_text(bits: Sequence[int]) -> bytes:
     return bytes(bits).translate(_TO_TEXT)
 
 
-def _text_bits(text: str) -> Word:
-    return tuple(text.encode().translate(_FROM_TEXT))
+def _text_bits(text: bytes) -> Word:
+    return tuple(text.translate(_FROM_TEXT))
 
 
 # Divide and conquer stops at leaves of 64 chunks (about 500 bits), where the

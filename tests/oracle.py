@@ -9,6 +9,9 @@ kept so the differential tests can check the fast versions against them.
   before its dynamic programmes. Each one walks all q^n words in numpy
   chunks, so they are only usable for small word spaces; the censuses must
   match them count for count, and the listing word for word, in order.
+- The per-position binary message layout the library used before it moved
+  message bits as slices of runs: a position list, filled and read one bit
+  at a time.
 - The per-symbol loops the library used before its linear-time encoder and
   extractor: the weighted checksums, the q-ary layout (free positions,
   message placement, auxiliary prefill, completion, encode, extract) and
@@ -104,6 +107,29 @@ def _binary_checksums(n: int):
         for i in range(1, n + 1):
             syn += i * ((x >> (i - 1)) & 1)
         yield x, syn % (n + 1)
+
+
+def message_positions(params: BinaryVtParams) -> Word:
+    """The k lowest non-dyadic positions, ascending (3, 5, 6, 7, 9, ..)."""
+    dyadic = set(params.dyadic_positions)
+    return tuple(p for p in range(1, params.n + 1) if p not in dyadic)[: params.k]
+
+
+def encode_binary_word(bits: Word, params: BinaryVtParams) -> Word:
+    """The codeword of k checked message bits."""
+    n = params.n
+    word = [0] * n
+    for pos, bit in zip(message_positions(params), bits):
+        word[pos - 1] = bit
+    deficit = (params.a - _checksum(word, n + 1)) % (n + 1)
+    for j, pos in enumerate(params.dyadic_positions):
+        word[pos - 1] = (deficit >> j) & 1
+    return tuple(word)
+
+
+def read_binary_word(bits: Word, params: BinaryVtParams) -> Word:
+    """The message bits at the message positions of a word of length n."""
+    return tuple(bits[pos - 1] for pos in message_positions(params))
 
 
 def correct_binary(received: Iterable[int], params: BinaryVtParams) -> Word:

@@ -2,9 +2,12 @@
 and check-position validation."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from vtcodes.binary import (
     BinaryVtParams,
     correct,
@@ -187,3 +190,27 @@ def test_validate_syndrome_positions_matches_brute_force():
                 reachable |= {(r + p) % modulus for r in reachable}
             expected = reachable == set(range(modulus))
             assert validate_syndrome_positions(n, pos) == expected
+
+
+def check_layout(n, rng):
+    for a in {0, n // 2, n}:
+        p = BinaryVtParams(n, a)
+        assert p.message_positions == oracle.message_positions(p)
+        for message in [(0,) * p.k, (1,) * p.k, tuple(rng.getrandbits(1) for _ in range(p.k))]:
+            word = p._encode(message)
+            assert word == oracle.encode_binary_word(message, p)
+            assert p._read(word) == oracle.read_binary_word(word, p) == message
+        noise = tuple(rng.getrandbits(1) for _ in range(n))  # reading takes any word
+        assert p._read(noise) == oracle.read_binary_word(noise, p)
+
+
+def test_message_runs_match_the_per_position_layout():
+    rng = random.Random(300)
+    for n in range(1, 301):
+        check_layout(n, rng)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(301, 4096), st.integers(0, 2**32 - 1).map(random.Random))
+def test_message_runs_match_the_per_position_layout_at_drawn_lengths(n, rng):
+    check_layout(n, rng)

@@ -122,3 +122,20 @@ def test_qary_corrects_every_edit_position(case):
     deletions, insertions = edits(word, i, symbol)
     for received in deletions + insertions:
         assert qary.correct(received, params) == word
+
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.integers(7, 300).filter(lambda n: (n - 1) & (n - 2)),
+    st.sampled_from([3, 127, 128, 129, 256, 1000, 2**64 + 1]),
+    st.integers(0, 2**32 - 1).map(random.Random),
+)
+def test_qary_corrects_every_edit_on_both_sides_of_the_lane_alphabets(n, q, rng):
+    # any word is a codeword of the code its signature names, which reaches
+    # alphabets too large for the encoder's pair table; q > 128 compares per symbol
+    word = tuple(rng.choice((0, q - 1, rng.randrange(q))) for _ in range(n))
+    params = QaryVtParams(n, q, *code_signature(word, q))
+    deletions, insertions = edits(word, rng.randrange(n + 1), rng.randrange(q))
+    for received in deletions + insertions:
+        assert qary.correct(received, params) == word

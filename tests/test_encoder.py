@@ -20,7 +20,15 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from vtcodes import binary, qary, words
 from vtcodes.errors import ExtractionError
-from vtcodes.qary import QaryVtParams, _place_message, _prefill_aux, aux_sequence, encode, extract
+from vtcodes.qary import (
+    QaryVtParams,
+    _place_message,
+    _prefill_aux,
+    aux_sequence,
+    code_signature,
+    encode,
+    extract,
+)
 
 # Digits per table step: 5 at q = 3, 2 at q = 15 (the top of a byte-sized
 # chunk), 1 from q = 17 on; 4, 16, 64 and 256 take bit planes instead.
@@ -119,7 +127,7 @@ def test_bit_conversions_match_the_oracle():
     for width in [1, 2, 7, 8, 9, 64, 300]:
         drawn = random.Random(width).getrandbits(width)
         for value in {0, 1, (1 << width) - 1, drawn}:
-            bits = words._text_bits(format(value, f"0{width}b"))
+            bits = words._text_bits(format(value, f"0{width}b").encode())
             assert bits == oracle.int_to_bits(value, width), (value, width)
             assert int(words._bit_text(bits), 2) == oracle.bits_to_int(bits) == value
 
@@ -177,12 +185,31 @@ def test_round_trip_past_the_int_string_limit(q):
     assert extract(word, p) == message
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.lists(st.integers(0, 8), min_size=2, max_size=40))
-def test_checksum_kernels_match_the_oracle(word):
-    n, q = len(word), max(word) + 1
-    bits = aux_sequence(word)
-    assert bits == tuple(int(y >= x) for x, y in zip(word, word[1:]))
-    assert binary._checksum(bits, n) == oracle._checksum(bits, n)
-    for a, b in [(0, 0), (binary._checksum(bits, n), sum(word) % q)]:
+# The lane kernel covers q <= 128; 129 .. 2**64 + 1 compare per symbol.
+KERNEL_ALPHABETS = st.one_of(
+    st.integers(3, 128), st.sampled_from([127, 128, 129, 200, 256, 257, 1000, 2**64 + 1])
+)
+
+
+@st.composite
+def kernel_words(draw):
+    q = draw(KERNEL_ALPHABETS)
+    n = draw(st.integers(2, 2048))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # edge symbols, next to each other and to themselves, test >= at each lane's limits
+    edges = [s for s in (0, 127, 128, q - 1) if s < q]
+    return [rng.choice(edges) if rng.random() < 0.3 else rng.randrange(q) for _ in range(n)], q
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kernel_words())
+def test_checksum_kernels_match_the_oracle(case):
+    word, q = case
+    n, total = len(word), sum(word) % q
+    ascents = tuple(int(y >= x) for x, y in zip(word, word[1:]))
+    syn = oracle._checksum(ascents, n)
+    assert qary._ascents(word, q) == aux_sequence(word) == ascents
+    assert code_signature(word, q) == (syn, total)
+    assert binary._checksum(ascents, n) == syn
+    for a, b in [(0, 0), (syn, total), ((syn + 1) % n, total), (syn, (total + 1) % q)]:
         assert qary._matches_code(word, n, q, a, b) == oracle._matches_code(word, n, q, a, b)

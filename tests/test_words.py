@@ -73,11 +73,11 @@ def test_symbols_round_trip():
 
 def test_bits_int_conversions_are_big_endian():
     assert int(_bit_text((1, 1, 0)), 2) == 6
-    assert _text_bits(format(6, "03b")) == (1, 1, 0)
-    assert _bit_text(()) == b"" and _text_bits("") == ()
+    assert _text_bits(format(6, "03b").encode()) == (1, 1, 0)
+    assert _bit_text(()) == b"" and _text_bits(b"") == ()
     for width in range(1, 6):
         for v in range(1 << width):
-            bits = _text_bits(format(v, f"0{width}b"))
+            bits = _text_bits(format(v, f"0{width}b").encode())
             assert bits == oracle.int_to_bits(v, width)
             assert int(_bit_text(bits), 2) == v
 
