@@ -106,7 +106,8 @@ def _check_qary_shape(n: int, q: int, limit: int) -> tuple[int, int]:
     n = check_int(n, "n", 2)
     q = check_int(q, "q", 3)
     limit = check_int(limit, "limit", 0)
-    if q**n > limit:
+    # q**n >= 2**n > limit once n >= limit.bit_length(): refuse before building the power
+    if n >= limit.bit_length() or q**n > limit:
         raise LimitExceededError(f"{q}**{n} words exceed the enumeration limit {limit}")
     return n, q
 

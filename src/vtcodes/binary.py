@@ -99,9 +99,8 @@ class BinaryVtParams(CodeParams):
         # the runs double in length, so the joins copy about 2k bits in all
         return sum(map(bits.__getitem__, self._message_runs), ())
 
-    def _restore(self, received: Word) -> Word | None:
-        restored = _levenshtein_restore(received, self.n, self.a)
-        return None if restored is None else restored[0]
+    def _restore(self, received: Word) -> tuple | None:
+        return _levenshtein_restore(bytes(received), self.n, self.a, _checksum(received, self.n + 1))
 
 
 def is_member(word: Iterable[int], params: BinaryVtParams) -> bool:
@@ -124,57 +123,46 @@ def extract(word: Iterable[int], params: BinaryVtParams) -> Word:
     return check_params(params, BinaryVtParams).extract(word)
 
 
-def _levenshtein_restore(
-    received: Word, m: int, a: int, weight: int | None = None, total: int | None = None
-) -> tuple[Word, int] | None:
+def _levenshtein_restore(bits: bytes, m: int, a: int, total: int) -> tuple | None:
     """Levenshtein's decoder for the length-m code with checksum a mod (m + 1).
 
-    received has length m - 1 (one bit lost) or m + 1 (one bit gained). Let w
-    be its weight. A lost bit is put back as a 0 with the checksum deficit d
-    of ones to its right when d <= w, and otherwise as a 1 with d - w - 1
-    zeros to its left. A gained bit is the 0 with e ones to its right, where
-    e is the checksum excess (m + 1 when the excess is 0 and the word ends
-    in a 1), or else the 1 with e - w zeros to its left.
+    bits holds the received 0/1 values, m - 1 of them (one bit lost) or
+    m + 1 (one bit gained), and total is their checksum sum(i * r_i) or
+    anything congruent to it mod m + 1. Let w be their weight. A lost bit is
+    put back as a 0 with the checksum deficit d of ones to its right when
+    d <= w, and otherwise as a 1 with d - w - 1 zeros to its left. A gained
+    bit is the 0 with e ones to its right, where e is the checksum excess
+    (m + 1 when the excess is 0 and the word ends in a 1), or else the 1 with
+    e - w zeros to its left.
 
-    Returns the restored word and the 0-based index of the edit in the longer
-    of the two words; inside a run every index gives the same word, and the
-    leftmost is reported. A lost bit can always be put back; None means that
-    removing no single bit lands in the code. One pass, O(m). A caller that
-    already has the weight and the checksum sum(i * r_i) of received passes
-    them in.
+    Returns the edit of bits that undoes the channel's, as words._apply's
+    fields: ("insertion", index, bit) or ("deletion", index, None). The index
+    lies just past the last of the counted opposite bits, so it is the
+    leftmost of its run, and every index in that run gives the same word. A
+    lost bit can always be put back; None means that removing no single bit
+    lands in the code. C passes only: count, then split at the opposite bits.
     """
-    if weight is None:
-        weight, total = sum(received), sum(compress(count(1), received))
-    if len(received) == m - 1:
+    weight, lost = bits.count(1), len(bits) == m - 1
+    if lost:
         deficit = (a - total) % (m + 1)
         if deficit <= weight:
             bit, need = 0, weight - deficit  # ones to its left
         else:
             bit, need = 1, deficit - weight - 1  # zeros to its left
-        index = seen = 0
-        for x in received:
-            if seen == need:
-                break
-            index += 1
-            if x != bit:
-                seen += 1
-        return received[:index] + (bit,) + received[index:], index
-    excess = (total - a) % (m + 1)
-    if excess == 0 and received[-1]:
-        excess = m + 1
-    if excess < weight or (excess == weight and not received[0]):
-        bit, need = 0, weight - excess  # ones to its left
     else:
-        bit, need = 1, excess - weight  # zeros to its left
-    seen = 0
-    for index, x in enumerate(received):
-        if x == bit:
-            if seen == need:
-                return received[:index] + received[index + 1 :], index
+        excess = (total - a) % (m + 1)
+        if excess == 0 and bits[-1]:
+            excess = m + 1
+        if excess < weight or (excess == weight and not bits[0]):
+            bit, need = 0, weight - excess  # ones to its left
         else:
-            seen += 1
-            if seen > need:
-                break
+            bit, need = 1, excess - weight  # zeros to its left
+    # need never exceeds the count of opposite bits, so the split always finds them
+    index = len(bits) - len(bits.split(bytes((1 - bit,)), need)[-1])
+    if lost:
+        return "insertion", index, bit
+    if index < len(bits) and bits[index] == bit:
+        return "deletion", index, None
     return None
 
 
@@ -182,8 +170,8 @@ def correct(received: Iterable[int], params: BinaryVtParams) -> Word:
     """Recover the codeword from a word that suffered at most one edit.
 
     A received length of n - 1 means a deletion, n + 1 an insertion, and n
-    must already be a codeword. Deletions and insertions are located in one
-    O(n) pass by Levenshtein's rule (see _levenshtein_restore), and the
+    must already be a codeword. Deletions and insertions are located in O(n)
+    C passes by Levenshtein's rule (see _levenshtein_restore), and the
     result is checked against the code; the answer is unique because the
     code corrects any single edit.
     """

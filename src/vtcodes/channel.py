@@ -9,7 +9,8 @@ workers.
 The trial loop validates no word: its messages are drawn as bits and every
 later word is the library's own output, so it calls the unchecked cores of
 the shared codec flow (words.CodeParams: _encode, _correct and _read)
-and _apply here, which the public calls reach after their one validation.
+and words._apply, the edit primitive apply_channel and the decoders share,
+which the public calls reach after their one validation.
 _correct returns only members of the code, so the message is read straight
 from its output, without extract's second membership pass.
 Each trial's event is drawn as plain fields; a ChannelEvent, which checks
@@ -23,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ParameterError, UnsupportedParametersError, VtCodeError
-from .words import CodeParams, Word, _text_bits, check_int, check_symbols, format_bitstring
+from .words import CodeParams, Word, _apply, _text_bits, check_int, check_symbols, format_bitstring
 
 EVENT_KINDS = ("deletion", "insertion", "identity")
 CHANNEL_KINDS = ("deletion", "insertion", "mixed", "identity")
@@ -61,19 +62,6 @@ def apply_channel(word, event: ChannelEvent) -> Word:
     insertion positions in 0..len; the caller guarantees the inserted symbol
     fits the word's alphabet."""
     return _apply(check_symbols(word), event.kind, event.position, event.symbol)
-
-
-def _apply(w: Word, kind: str, position: int | None, symbol: int | None) -> Word:
-    """apply_channel on a validated tuple and a checked event's fields."""
-    if kind == "identity":
-        return w
-    if kind == "deletion":
-        if position >= len(w):
-            raise ParameterError(f"deletion position {position} out of range 0..{len(w) - 1}")
-        return w[:position] + w[position + 1 :]
-    if position > len(w):
-        raise ParameterError(f"insertion position {position} out of range 0..{len(w)}")
-    return w[:position] + (symbol,) + w[position:]
 
 
 @dataclass(frozen=True)

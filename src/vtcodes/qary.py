@@ -318,17 +318,19 @@ class QaryVtParams(CodeParams):
             raise CodecError(f"extracted {len(bits)} message bits, expected {self.k}")
         return bits
 
-    def _restore(self, r: Word) -> Word | None:
-        """Tenengolts' decoder: the word one deletion or insertion away from r
-        with auxiliary checksum a (mod n) and symbol sum b (mod q), or None.
+    def _restore(self, r: Word) -> tuple | None:
+        """Tenengolts' decoder: the edit of r that lands on a word with
+        auxiliary checksum a (mod n) and symbol sum b (mod q), as words._apply's
+        fields with the leftmost position that gives that word, or None.
 
         The sum residue names the lost or gained symbol. A symbol edit is a
         single bit edit of the auxiliary sequence, so Levenshtein's decoder
-        (length n - 1, modulus n) restores the codeword's auxiliary bits. The
-        symbol then goes in (or comes out) at an index j that keeps the received
-        auxiliary bits before j and after it, which bounds j by the longest
-        common prefix and suffix of the two auxiliary words; the bits on either
-        side of j are checked directly. O(n) in all.
+        (length n - 1, modulus n) returns the auxiliary edit, at the leftmost
+        index e of its run of bit. With end the next opposite bit (one find()),
+        the codeword's auxiliary bits hold bit at e .. end for a lost symbol
+        and at e .. end - 2 for a gained one, the opposite bit on either side.
+        The symbol goes in (or comes out) at the first j from e on whose new
+        auxiliary bits match those. O(n) in all.
         """
         n, q, a, b = self.n, self.q, self.a, self.b
         deletion = len(r) == n - 1
@@ -336,28 +338,29 @@ class QaryVtParams(CodeParams):
         symbol = (b - total) % q if deletion else (total - b) % q
         high, levels = _LANES[len(r) - 1]
         flags = _ascent_flags(r, q, high)
-        aux = tuple(flags.to_bytes(len(r) - 1, "little"))
-        checksum = _flag_checksum(flags, levels)
-        restored = _levenshtein_restore(aux, n - 1, a, flags.bit_count(), checksum)
-        if restored is None:
+        aux = flags.to_bytes(len(r) - 1, "little")
+        found = _levenshtein_restore(aux, n - 1, a, _flag_checksum(flags, levels))
+        if found is None:
             return None
-        target, edit = restored
-        limit = min(len(aux), len(target))
-        prefix = edit  # bits before the edit are untouched
-        while prefix < limit and aux[prefix] == target[prefix]:
-            prefix += 1
-        suffix = limit - edit  # and so are the bits after it
-        while suffix < limit and aux[-1 - suffix] == target[-1 - suffix]:
-            suffix += 1
-        for j in range(limit - suffix, prefix + 2):
+        _, edit, bit = found
+        if not deletion:
+            bit = aux[edit]
+        end = aux.find(1 - bit, edit)
+        if end < 0:
+            end = len(aux)
+        run = range(edit, end + 1 if deletion else end - 1)  # the codeword's run of bit
+
+        def agrees(ascent: bool, i: int) -> bool:  # True when the codeword's aux bit i is ascent
+            return (ascent == bit) == (i in run)
+
+        for j in range(edit, end + 2 if deletion else end + 1):
             if deletion:
-                if j and (symbol >= r[j - 1]) != target[j - 1]:
-                    continue
-                if j < n - 1 and (r[j] >= symbol) != target[j]:
-                    continue
-                return r[:j] + (symbol,) + r[j:]
-            if r[j] == symbol and (j in (0, n) or (r[j + 1] >= r[j - 1]) == target[j - 1]):
-                return r[:j] + r[j + 1 :]
+                if (not j or agrees(symbol >= r[j - 1], j - 1)) and (
+                    j == n - 1 or agrees(r[j] >= symbol, j)
+                ):
+                    return "insertion", j, symbol
+            elif r[j] == symbol and (j in (0, n) or agrees(r[j + 1] >= r[j - 1], j - 1)):
+                return "deletion", j, None
         return None
 
 

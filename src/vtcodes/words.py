@@ -9,8 +9,9 @@ stays unambiguous for alphabets larger than ten.
 Words are validated once, at the public boundary: check_word and check_bits
 make one type pass and, for q <= 256, one bytearray().translate() range pass,
 and the codecs hand the checked tuple to unchecked cores; CodeParams, the
-base of both params classes, holds that codec flow once, and check_params
-keeps each family's module functions to that family's params. The block
+base of both params classes, holds that codec flow once, rebuilding a
+corrected word with _apply, the edit primitive the channel uses too, and
+check_params keeps each family's module functions to that family's params. The block
 conversions take only values the codecs made or already checked, so they
 check nothing. The q-ary free block converts from and to '0'/'1' bit text:
 for q = 2**b <= 256 its digits are the text's b-bit groups, moved as bit
@@ -281,12 +282,28 @@ def _digits_text(digits: Iterable[int], base: int, bits: int) -> bytes | bytearr
     return text
 
 
+def _apply(w: Word, kind: str, position: int | None, symbol: int | None) -> Word:
+    """One edit of a validated tuple, given as a checked ChannelEvent's fields:
+    the channel's edits and the decoders' undoing edits both go through here."""
+    if kind == "identity":
+        return w
+    if kind == "deletion":
+        if position >= len(w):
+            raise ParameterError(f"deletion position {position} out of range 0..{len(w) - 1}")
+        return w[:position] + w[position + 1 :]
+    if position > len(w):
+        raise ParameterError(f"insertion position {position} out of range 0..{len(w)}")
+    return w[:position] + (symbol,) + w[position:]
+
+
 class CodeParams:
     """The codec flow both params classes inherit: the public methods validate
     their word once and hand the tuple to the unchecked cores _encode,
     _extract and _correct. Each family supplies n, q, k, t, _member (for a
     checked word of length n), _encode, the positional reader _read, and
-    _restore, its decoder from length n - 1 or n + 1 to a codeword or None."""
+    _restore, its decoder: the edit that undoes the channel's on a word of
+    length n - 1 or n + 1, as _apply's fields at the leftmost position that
+    gives its word, or None."""
 
     _unsupported: str | None = None  # why encode and extract refuse the shape
 
@@ -346,12 +363,14 @@ class CodeParams:
             raise NotACodewordError(f"word is not in the code ({self._shape()})")
         if len(r) not in (n - 1, n + 1):
             raise ParameterError(f"received length {len(r)} is not within one edit of n={n}")
-        found = self._restore(r)
-        if found is None or not self._member(found):
-            raise NoCandidateError(
-                f"no codeword within one edit of the received word ({self._shape()})"
-            )
-        return found
+        edit = self._restore(r)
+        if edit is not None:
+            word = _apply(r, *edit)
+            if self._member(word):
+                return word
+        raise NoCandidateError(
+            f"no codeword within one edit of the received word ({self._shape()})"
+        )
 
     def _shape(self) -> str:
         """The code's parameters as error messages name them: "q=2, n=10, a=3"."""

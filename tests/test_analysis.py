@@ -3,6 +3,7 @@ recounts of the same word spaces."""
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,23 @@ def test_qary_limits():
         qary_census(1, 3)
     with pytest.raises(ParameterError):
         qary_census(6, 2)
+
+
+@pytest.mark.parametrize(
+    "census",
+    [
+        lambda: qary_census(10**7, 3),
+        lambda: enumerate_q(10**7, 3, 0, 0),
+        lambda: census_rows(10**7, 3),
+    ],
+    ids=["qary_census", "enumerate_q", "census_rows"],
+)
+def test_qary_limit_refuses_a_long_shape_without_counting_its_words(census):
+    # 3**(10**7) has 16 million bits; the cap must refuse before building it
+    start = time.perf_counter()
+    with pytest.raises(LimitExceededError, match=r"^3\*\*10000000 words exceed the enumeration limit"):
+        census()
+    assert time.perf_counter() - start < 1
 
 
 # ------------------------------------------------------------------ bounds

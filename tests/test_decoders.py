@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from oracle import correct_binary as oracle_binary, correct_q as oracle_q
 from vtcodes import binary, qary
 from vtcodes.binary import BinaryVtParams, _levenshtein_restore
+from vtcodes.errors import NoCandidateError
 from vtcodes.qary import QaryVtParams, code_signature
+from vtcodes.words import _apply
 
 
 def outcome(correct, received, params):
@@ -109,9 +111,11 @@ def test_binary_corrects_every_edit_position(case):
     deletions, insertions = edits(word, i, symbol)
     for received in deletions + insertions:
         assert binary.correct(received, params) == word
-        restored, index = _levenshtein_restore(received, params.n, params.a)
+        total = sum(i * x for i, x in enumerate(received, 1))
+        edit = _levenshtein_restore(bytes(received), params.n, params.a, total)
+        index = edit[1]
         longer, shorter = (word, received) if len(received) < len(word) else (received, word)
-        assert restored == word
+        assert _apply(received, *edit) == word
         assert longer[:index] + longer[index + 1 :] == shorter
 
 
@@ -123,6 +127,40 @@ def test_qary_corrects_every_edit_position(case):
     for received in deletions + insertions:
         assert qary.correct(received, params) == word
 
+
+def assert_canonical(received, params):
+    """When received corrects, _restore returns the edit that _apply turns
+    into the codeword, and no smaller position with the same kind and symbol
+    gives that word."""
+    try:
+        word = params.correct(received)
+    except NoCandidateError:
+        return
+    kind, position, symbol = params._restore(received)
+    assert _apply(received, kind, position, symbol) == word, (received, params)
+    for earlier in range(position):
+        assert _apply(received, kind, earlier, symbol) != word, (received, params, earlier)
+
+
+def test_located_edit_is_canonical_on_every_word_at_small_shapes():
+    shapes = [BinaryVtParams(n, a) for n in range(1, 11) for a in range(n + 1)]
+    shapes += [
+        QaryVtParams(n, q, a, b) for n, q in [(6, 3), (7, 3)] for a in range(n) for b in range(q)
+    ]
+    for params in shapes:
+        for length in (params.n - 1, params.n + 1):
+            for received in itertools.product(range(params.q), repeat=length):
+                assert_canonical(received, params)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.one_of(binary_cases(), qary_cases()))
+def test_located_edit_is_canonical_at_every_edit_position(case):
+    params, word, i, symbol = case
+    deletions, insertions = edits(word, i, symbol)
+    for received in deletions + insertions:
+        assert params.correct(received) == word
+        assert_canonical(received, params)
 
 
 @settings(max_examples=40, deadline=None, database=None)
