@@ -5,21 +5,23 @@ sum(i * s_i) mod (n + 1), with positions counted from 1. Fixing that checksum
 to a residue a carves {0,1}^n into n + 1 codes, each of which corrects any
 single deletion or insertion. The systematic encoder here keeps message bits
 in the non-power-of-two positions and solves for the power-of-two ("dyadic")
-positions, whose weights 1, 2, 4, .. reach every residue. BinaryVtParams
-gives these rules and Levenshtein's decoder to the shared words.CodeParams.
+positions, whose weights 1, 2, 4, .. reach every residue. The checksum comes
+from the lane kernel in words. BinaryVtParams gives these rules and
+Levenshtein's decoder to the shared words.CodeParams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
 from .words import (
     CodeParams,
     Word,
+    _flag_checksum,
     check_bits,
     check_int,
     check_params,
@@ -29,7 +31,8 @@ from .words import (
 
 
 def _checksum(bits: Sequence[int], modulus: int) -> int:
-    return sum(compress(count(1), bits)) % modulus
+    """sum(i * s_i) mod modulus over 0/1 bits, by the lane kernel in words."""
+    return _flag_checksum(int.from_bytes(bytearray(bits), "little"), len(bits)) % modulus
 
 
 def syndrome(word: Iterable[int]) -> int:
@@ -100,7 +103,8 @@ class BinaryVtParams(CodeParams):
         return sum(map(bits.__getitem__, self._message_runs), ())
 
     def _restore(self, received: Word) -> tuple | None:
-        return _levenshtein_restore(bytes(received), self.n, self.a, _checksum(received, self.n + 1))
+        bits = bytearray(received)  # one pass over the tuple; _checksum copies the buffer
+        return _levenshtein_restore(bits, self.n, self.a, _checksum(bits, self.n + 1))
 
 
 def is_member(word: Iterable[int], params: BinaryVtParams) -> bool:
@@ -123,7 +127,7 @@ def extract(word: Iterable[int], params: BinaryVtParams) -> Word:
     return check_params(params, BinaryVtParams).extract(word)
 
 
-def _levenshtein_restore(bits: bytes, m: int, a: int, total: int) -> tuple | None:
+def _levenshtein_restore(bits: bytes | bytearray, m: int, a: int, total: int) -> tuple | None:
     """Levenshtein's decoder for the length-m code with checksum a mod (m + 1).
 
     bits holds the received 0/1 values, m - 1 of them (one bit lost) or

@@ -13,19 +13,13 @@ table; the reserved positions then absorb the checksum deficit and the first
 three symbols absorb the sum deficit. Lengths with n - 1 a power of two would
 need position n for the layout and are rejected. Encoding and extraction do
 their per-symbol work in builtins: the free symbols move as slices of runs
-between the reserved blocks. The auxiliary bits come from one lane kernel
-(SIMD within a register, on a big int): for q <= 128, with x the word's
-bytes read as a little-endian int and H = 0x80 in every byte lane, lane i of
-((x >> 8 | H) - x) & H holds 0x80 exactly when c_{i+1} >= c_i, since each
-lane keeps a spare top bit and no borrow crosses lanes; larger alphabets
-compare per symbol with map. The weighted checksum of those bits is then
-about log2(n) / 3 AND/popcount steps (see _LaneConstants), not n additions.
-Membership, encoding and Tenengolts' decoder all take their auxiliary bits
-and checksums from it. All of that is O(n). The free
-block moves to and from the message's bit text through words._text_digits
-and _digits_text: O(n) C passes for power-of-two q; other alphabets divide
-and conquer, and CPython's big-integer division keeps that part growing
-faster than n.
+between the reserved blocks. The auxiliary bits and their weighted
+checksum come from the lane kernel in words (_ascent_flags and
+_flag_checksum), which membership, encoding and Tenengolts' decoder all use.
+All of that is O(n). The free block moves to and from the message's bit text
+through words._text_digits and _digits_text: O(n) C passes for power-of-two
+q; other alphabets divide and conquer, and CPython's big-integer division
+keeps that part growing faster than n.
 QaryVtParams gives these rules and Tenengolts' decoder (which restores the
 auxiliary sequence by the binary rule) to the shared words.CodeParams.
 """
@@ -35,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, islice
-from operator import ge
 from typing import Iterable, Sequence
 
 from .binary import _levenshtein_restore
@@ -48,8 +41,10 @@ from .errors import (
 from .words import (
     CodeParams,
     Word,
+    _ascent_flags,
     _bit_text,
     _digits_text,
+    _flag_checksum,
     _text_bits,
     _text_digits,
     check_int,
@@ -79,64 +74,13 @@ def code_signature(word: Iterable[int], q: int) -> tuple[int, int]:
     n = len(w)
     if n < 2:
         raise ParameterError(f"word must have length at least 2, got {n}")
-    high, levels = _LANES[n - 1]
-    return _flag_checksum(_ascent_flags(w, q, high), levels) % n, sum(w) % q
-
-
-class _LaneConstants(dict):
-    """The lane kernel's constants for m byte lanes, built on first lookup:
-    (high, levels). high holds 0x80 in every lane. levels[l] holds, at the
-    bottom of lane i, d one bits for the base-8 digit d = ((i + 1) >> 3l) & 7
-    of the lane's weight, so that with flags holding 0 or 1 per lane, the sum
-    of popcount(255 * flags & levels[l]) << 3l over l is the sum of i + 1 over
-    the set lanes: ceil(bit_length(m) / 3) AND/popcount steps in all.
-    """
-
-    def __missing__(self, m: int) -> tuple[int, tuple[int, ...]]:
-        if len(self) >= 256:  # keeps memory bounded when many lengths pass through
-            self.clear()
-        levels = []
-        for shift in range(0, m.bit_length(), 3):
-            run = 1 << shift  # consecutive weights that share the digit
-            cycle = b"".join(bytes([(1 << d) - 1]) * run for d in range(8))
-            lanes = (cycle * (m // len(cycle) + 1))[1 : m + 1]  # weights 1 .. m
-            levels.append(int.from_bytes(lanes, "little"))
-        self[m] = found = (int.from_bytes(b"\x80" * m, "little"), tuple(levels))
-        return found
-
-
-_LANES = _LaneConstants()
-
-
-def _ascent_flags(w: Sequence[int], q: int, high: int) -> int:
-    """The auxiliary bits of a checked word over alphabet q, as an int whose
-    byte lane i (little-endian) holds 1 when w[i + 1] >= w[i], else 0; high
-    is _LANES[len(w) - 1][0]. For q <= 128 every lane of (x >> 8) | high
-    exceeds the matching lane of x, whose top bit is clear, so the
-    subtraction borrows across no lane below m and leaves each lane's top bit
-    set exactly when w[i + 1] >= w[i]; & high drops x's lane m, w[-1], which
-    borrows from above."""
-    if q > 128:  # no spare top bit: compare per symbol
-        return int.from_bytes(bytes(map(ge, w[1:], w)), "little")
-    x = int.from_bytes(bytes(w), "little")
-    return ((((x >> 8) | high) - x) & high) >> 7
-
-
-def _flag_checksum(flags: int, levels: tuple[int, ...]) -> int:
-    """The sum of i + 1 over the byte lanes i of flags that hold 1, levels
-    coming from _LANES (see _LaneConstants)."""
-    spread = flags * 255
-    total = shift = 0
-    for level in levels:
-        total += (spread & level).bit_count() << shift
-        shift += 3
-    return total
+    return _flag_checksum(_ascent_flags(w, q), n - 1) % n, sum(w) % q
 
 
 def _ascents(w: Sequence[int], q: int) -> Word:
     """The auxiliary bits of a checked word over alphabet q, 0/1 ints."""
     m = len(w) - 1
-    return tuple(_ascent_flags(w, q, _LANES[m][0]).to_bytes(m, "little"))
+    return tuple(_ascent_flags(w, q).to_bytes(m, "little"))
 
 
 def _ilog2(x: int) -> int:
@@ -336,10 +280,9 @@ class QaryVtParams(CodeParams):
         deletion = len(r) == n - 1
         total = sum(r)
         symbol = (b - total) % q if deletion else (total - b) % q
-        high, levels = _LANES[len(r) - 1]
-        flags = _ascent_flags(r, q, high)
+        flags = _ascent_flags(r, q)
         aux = flags.to_bytes(len(r) - 1, "little")
-        found = _levenshtein_restore(aux, n - 1, a, _flag_checksum(flags, levels))
+        found = _levenshtein_restore(aux, n - 1, a, _flag_checksum(flags, len(aux)))
         if found is None:
             return None
         _, edit, bit = found
@@ -366,8 +309,7 @@ class QaryVtParams(CodeParams):
 
 def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
     """Membership test for an already validated word of length n."""
-    high, levels = _LANES[n - 1]
-    return _flag_checksum(_ascent_flags(w, q, high), levels) % n == a and sum(w) % q == b
+    return _flag_checksum(_ascent_flags(w, q), n - 1) % n == a and sum(w) % q == b
 
 
 def is_member(word: Iterable[int], params: QaryVtParams) -> bool:
@@ -478,7 +420,7 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
     n, q, a, b = params.n, params.q, params.a, params.b
     aux = _prefill_aux(c, params)
     flags = int.from_bytes(bytes(aux), "little") >> 8  # aux[1:], lane i holding aux[i + 1]
-    deficit = (a - _flag_checksum(flags, _LANES[n - 1][1])) % n
+    deficit = (a - _flag_checksum(flags, n - 1)) % n
     for j, pos in enumerate(params.dyadic_positions):
         aux[pos] = (deficit >> j) & 1
     for pos in params.dyadic_positions[2:]:

@@ -18,6 +18,9 @@ for q = 2**b <= 256 its digits are the text's b-bit groups, moved as bit
 planes by C passes; other alphabets go through an int split in about halves by
 cached powers of q down to leaves a per-base table converts c digits at a time
 (q**c <= 256). Only base-2 strings occur, so CPython's int/str limit never bites.
+One lane kernel on a big int (SIMD within a register), _ascent_flags and
+_flag_checksum, gives the q-ary ascent bits and both families' weighted
+checksums sum(i * s_i) over 0/1 values: O(n), log2(n) / 3 AND/popcount steps.
 """
 
 from __future__ import annotations
@@ -280,6 +283,57 @@ def _digits_text(digits: Iterable[int], base: int, bits: int) -> bytes | bytearr
     for j, (_, bit) in enumerate(planes):
         text[j::b] = digits.translate(bit)
     return text
+
+
+class _LaneConstants(dict):
+    """The lane kernel's constants for m byte lanes, built on first lookup:
+    (high, levels). high holds 0x80 in every lane. levels[l] holds, at the
+    bottom of lane i, d one bits for the base-8 digit d = ((i + 1) >> 3l) & 7
+    of the lane's weight, so that with flags holding 0 or 1 per lane, the sum
+    of popcount(255 * flags & levels[l]) << 3l over l is the sum of i + 1 over
+    the set lanes: ceil(bit_length(m) / 3) AND/popcount steps in all.
+    """
+
+    def __missing__(self, m: int) -> tuple[int, tuple[int, ...]]:
+        if len(self) >= 256:  # keeps memory bounded when many lengths pass through
+            self.clear()
+        levels = []
+        for shift in range(0, m.bit_length(), 3):
+            run = 1 << shift  # consecutive weights that share the digit
+            cycle = b"".join(bytes([(1 << d) - 1]) * run for d in range(8))
+            lanes = (cycle * (m // len(cycle) + 1))[1 : m + 1]  # weights 1 .. m
+            levels.append(int.from_bytes(lanes, "little"))
+        self[m] = found = (int.from_bytes(b"\x80" * m, "little"), tuple(levels))
+        return found
+
+
+_LANES = _LaneConstants()
+
+
+def _ascent_flags(w: Sequence[int], q: int) -> int:
+    """The auxiliary bits of a checked word over alphabet q, as an int whose
+    byte lane i (little-endian) holds 1 when w[i + 1] >= w[i], else 0. For
+    q <= 128, with x the word's bytes as an int and high 0x80 in each of the
+    m = len(w) - 1 lanes, every lane of (x >> 8) | high exceeds the matching
+    lane of x, whose top bit is clear, so the subtraction borrows across no
+    lane below m and leaves each lane's top bit set exactly when
+    w[i + 1] >= w[i]; & high drops x's lane m, w[-1], which borrows from
+    above."""
+    if q > 128:  # no spare top bit: compare per symbol
+        return int.from_bytes(bytes(map(operator.ge, w[1:], w)), "little")
+    x, high = int.from_bytes(bytearray(w), "little"), _LANES[len(w) - 1][0]
+    return ((((x >> 8) | high) - x) & high) >> 7
+
+
+def _flag_checksum(flags: int, m: int) -> int:
+    """The weighted checksum of m byte lanes of 0/1 values: the sum of i + 1
+    over the lanes i of flags that hold 1 (see _LaneConstants)."""
+    spread = flags * 255
+    total = shift = 0
+    for level in _LANES[m][1]:
+        total += (spread & level).bit_count() << shift
+        shift += 3
+    return total
 
 
 def _apply(w: Word, kind: str, position: int | None, symbol: int | None) -> Word:

@@ -194,7 +194,9 @@ KERNEL_ALPHABETS = st.one_of(
 @st.composite
 def kernel_words(draw):
     q = draw(KERNEL_ALPHABETS)
-    n = draw(st.integers(2, 2048))
+    # n - 1 ascent lanes: the forced lengths sit on both sides of each new mask level
+    level_edges = st.sampled_from([8, 9, 64, 65, 512, 513, 4096, 4097])
+    n = draw(st.one_of(st.integers(2, 4097), level_edges))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     # edge symbols, next to each other and to themselves, test >= at each lane's limits
     edges = [s for s in (0, 127, 128, q - 1) if s < q]
