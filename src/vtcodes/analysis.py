@@ -26,7 +26,6 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, product
 from operator import add, sub
 
 from .binary import BinaryVtParams
@@ -74,13 +73,16 @@ def enumerate_binary(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> int:
 def _binary_halves(n: int) -> list[list[tuple[tuple[int, ...], int]]]:
     """[low, high]: the words over positions 1..m (m = n // 2) and over
     m+1..n, each in increasing integer order and paired with its partial
-    checksum. product() varies its last entry fastest, so reversing each
-    tuple puts the lowest position first."""
+    checksum. Each position doubles the list: every word gains a 0, then
+    every word gains a 1 and the position joins its checksum."""
     m = n // 2
     halves = []
-    for start, width in ((1, m), (m + 1, n - m)):
-        words = [w[::-1] for w in product((0, 1), repeat=width)]
-        halves.append([(w, sum(compress(count(start), w))) for w in words])
+    for start, stop in ((1, m + 1), (m + 1, n + 1)):
+        words, sums = [()], [0]
+        for p in range(start, stop):
+            words = [w + (0,) for w in words] + [w + (1,) for w in words]
+            sums += [s + p for s in sums]
+        halves.append(list(zip(words, sums)))
     return halves
 
 

@@ -121,12 +121,11 @@ def _cmd_validate_positions(args):
     return ("true" if ok else "false"), {"valid": ok}
 
 
-def _add_code_flags(sub, with_b=True):
+def _add_code_flags(sub):
     sub.add_argument("--q", type=int, required=True, help="alphabet size (2 = binary)")
     sub.add_argument("--n", type=int, required=True, help="code length")
     sub.add_argument("--a", type=int, required=True, help="target checksum residue")
-    if with_b:
-        sub.add_argument("--b", type=int, default=None, help="target symbol-sum residue (q >= 3)")
+    sub.add_argument("--b", type=int, default=None, help="target symbol-sum residue (q >= 3)")
 
 
 def _add_json_flag(sub):

@@ -227,12 +227,10 @@ class QaryVtParams(CodeParams):
     def _read(self, w: Word) -> Word:
         q = self.q
         table = pair_table(q)
-        text = b""
-        if self.free_positions:
-            free = chain.from_iterable(w[run.start : run.stop] for run in self._free_runs)
-            text = _digits_text(free, q, self._free_bits)
-            if text is None:
-                raise ExtractionError("free-position symbols exceed the message range")
+        free = chain.from_iterable(w[run.start : run.stop] for run in self._free_runs)
+        text = _digits_text(free, q, self._free_bits)
+        if text is None:
+            raise ExtractionError("free-position symbols exceed the message range")
         slots = 1  # the pair and position-5 indices in turn, under a lead 1
         for left, right in self.pair_positions[1:]:
             try:
@@ -356,10 +354,9 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
     c: list = [None] * params.n
     text = _bit_text(bits)
     used = params._free_bits
-    if params.free_positions:
-        digits = iter(_text_digits(text[:used], q, len(params.free_positions)))
-        for run in params._free_runs:
-            c[run.start : run.stop] = islice(digits, len(run))
+    digits = iter(_text_digits(text[:used], q, len(params.free_positions)))
+    for run in params._free_runs:
+        c[run.start : run.stop] = islice(digits, len(run))
     for left, right in params.pair_positions[1:]:
         c[left], c[right] = table.pairs[int(text[used : used + table.pair_bits], 2)]
         used += table.pair_bits
@@ -374,8 +371,9 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
     return c
 
 
-def _prefill_aux(c: Sequence, params: QaryVtParams) -> list:
-    """Auxiliary bits of a partially built word, reserved positions zeroed.
+def _prefill_aux(c: Sequence, params: QaryVtParams) -> bytearray:
+    """Auxiliary bits of a partially built word, one byte each, reserved
+    positions zeroed; byte i compares positions i and i-1.
 
     Position 3 is pinned to the largest value in play, so its bit is 1
     outright; a position just after a reserved power of two compares across
@@ -385,14 +383,14 @@ def _prefill_aux(c: Sequence, params: QaryVtParams) -> list:
     reserved = params.dyadic_positions[2:]
     for pos in reserved:
         tail[pos - 3] = 0
-    aux = [0, 0, 0, 1, *_ascents(tail, params.q)]  # index i compares positions i and i-1
+    aux = bytearray(b"\0\0\0\1") + _ascent_flags(tail, params.q).to_bytes(len(tail) - 1, "little")
     for pos in reserved:
         aux[pos] = 0
-        aux[pos + 1] = int(c[pos + 1] >= c[pos - 1])
+        aux[pos + 1] = c[pos + 1] >= c[pos - 1]
     return aux
 
 
-def _finish_prefix_q3(c: list, aux: list, b: int) -> None:
+def _finish_prefix_q3(c: list, aux: bytearray, b: int) -> None:
     """Choose the first three symbols for alphabet 3.
 
     Over {0,1,2} no three distinct values exist, so the prefix works with
@@ -419,7 +417,7 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
     positions are already set, landing it on the target residues."""
     n, q, a, b = params.n, params.q, params.a, params.b
     aux = _prefill_aux(c, params)
-    flags = int.from_bytes(bytes(aux), "little") >> 8  # aux[1:], lane i holding aux[i + 1]
+    flags = int.from_bytes(aux, "little") >> 8  # aux[1:], lane i holding aux[i + 1]
     deficit = (a - _flag_checksum(flags, n - 1)) % n
     for j, pos in enumerate(params.dyadic_positions):
         aux[pos] = (deficit >> j) & 1

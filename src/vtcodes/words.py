@@ -76,9 +76,14 @@ def check_residue(value, name: str, modulus: int) -> int:
 
 def _int_symbols(word: Iterable[int]) -> Word:
     """A word as a tuple of plain ints: numpy integers convert through
-    operator.index; bool, float and str symbols are refused."""
+    operator.index; bool, float and str symbols are refused, and so is a
+    word that is not iterable. A tuple of plain ints comes back as is."""
     if isinstance(word, str):
         raise ParameterError("expected a sequence of ints; use parse_symbols() for text")
+    try:
+        iter(word)  # a probe: an error raised inside the iterable propagates from tuple()
+    except TypeError:
+        raise ParameterError(f"expected a sequence of ints, got {word!r}") from None
     out = tuple(word)
     if set(map(type, out)) != {int}:
         out = tuple(map(_as_int, out))

@@ -54,7 +54,7 @@ def test_every_message_matches_the_oracle(n, q):
         for message in itertools.product((0, 1), repeat=p.k):
             c = _place_message(message, p)
             assert c == oracle._place_message(message, p)
-            assert _prefill_aux(c, p) == oracle._prefill_aux(c, p)
+            assert list(_prefill_aux(c, p)) == oracle._prefill_aux(c, p)
             word = encode(message, p)
             assert word == oracle.encode_q(message, p)
             assert extract(word, p) == oracle.extract_q(word, p) == message

@@ -23,16 +23,17 @@ from vtcodes.analysis import (
     single_deletion_size_bound,
 )
 from vtcodes.binary import BinaryVtParams
-from vtcodes.channel import ChannelEvent, TrialReport, run_trials
+from vtcodes.channel import ChannelEvent, TrialReport, apply_channel, run_trials
 from vtcodes.errors import CodecError, ParameterError
 from vtcodes.qary import (
     PairTable,
     QaryVtParams,
+    aux_sequence,
     code_signature,
     message_length,
     pair_table,
 )
-from vtcodes.words import check_bits, check_symbols, check_word
+from vtcodes.words import check_bits, check_symbols, check_word, format_bitstring, format_symbols
 
 from oracle import distinct_insertions
 
@@ -157,6 +158,37 @@ def test_word_symbol_errors_name_the_first_bad_symbol():
         check_symbols((0, -1, -3))
     with pytest.raises(ParameterError, match="symbol 5 out of range"):
         check_word((0, 5, 7), 4)
+
+
+# Calls that take one word or sequence of ints, given everything else valid.
+WORD_CALLS = [
+    lambda w: binary.encode(w, BinaryVtParams(10, 3)),
+    lambda w: qary.is_member(w, QaryVtParams(16, 8, 0, 1)),
+    QaryVtParams(16, 8, 0, 1).extract,
+    binary.syndrome,
+    aux_sequence,
+    lambda w: code_signature(w, 4),
+    format_bitstring,
+    format_symbols,
+    lambda w: binary.validate_syndrome_positions(10, w),
+    lambda w: apply_channel(w, ChannelEvent("deletion", position=0)),
+]
+
+
+@pytest.mark.parametrize("call", WORD_CALLS)
+@pytest.mark.parametrize("bad", [5, None, 3.5, np.int64(3)])
+def test_word_arguments_refuse_non_iterables(call, bad):
+    with pytest.raises(ParameterError, match="expected a sequence of ints"):
+        call(bad)
+
+
+def test_word_iterable_errors_propagate():
+    def broken():
+        yield 1
+        raise TypeError("inside the iterable")
+
+    with pytest.raises(TypeError, match="inside the iterable"):
+        check_symbols(broken())
 
 
 # Calls that take a word and an alphabet size q.
