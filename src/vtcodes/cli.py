@@ -98,20 +98,16 @@ def _cmd_simulate(args):
 
 def _cmd_tables(args):
     table = pair_table(args.q)
-    lines = [
-        f"q = {table.q}",
-        f"pair_bits = {table.pair_bits}",
-        f"single_bits = {table.single_bits}",
-    ]
-    lines += [f"pair {i} = {left} {right}" for i, (left, right) in enumerate(table.pairs)]
-    lines += [f"single {i} = {value}" for i, value in enumerate(table.singles)]
-    payload = {
+    payload = {  # pairs and singles are built on access, so each is read once
         "q": table.q,
         "pair_bits": table.pair_bits,
         "single_bits": table.single_bits,
         "pairs": [list(p) for p in table.pairs],
         "singles": list(table.singles),
     }
+    lines = [f"{key} = {payload[key]}" for key in ("q", "pair_bits", "single_bits")]
+    lines += [f"pair {i} = {left} {right}" for i, (left, right) in enumerate(payload["pairs"])]
+    lines += [f"single {i} = {value}" for i, value in enumerate(payload["singles"])]
     return "\n".join(lines), payload
 
 

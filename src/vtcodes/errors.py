@@ -45,4 +45,4 @@ class NoCandidateError(CodecError):
 
 
 class ExtractionError(CodecError):
-    """The codeword is valid but was not produced by the systematic encoder."""
+    """Extraction is positional: a codeword's message slot holds a value no message maps to."""

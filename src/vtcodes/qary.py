@@ -8,8 +8,8 @@ or insertion.
 
 The systematic encoder reserves the power-of-two positions 2^j and their odd
 neighbours 2^j - 1, 2^j + 1. Free message symbols ride in the remaining
-positions; the neighbour pairs carry message data through a constrained value
-table; the reserved positions then absorb the checksum deficit and the first
+positions; the neighbour pairs carry message data as constrained value
+pairs; the reserved positions then absorb the checksum deficit and the first
 three symbols absorb the sum deficit. Lengths with n - 1 a power of two would
 need position n for the layout and are rejected. Encoding and extraction do
 their per-symbol work in builtins: the free symbols move as slices of runs
@@ -121,41 +121,52 @@ def message_length(n: int, q: int) -> int:
 
 
 class PairTable:
-    """Canonical message-value tables for one alphabet size.
-
-    pairs lists, in lexicographic order, every (left, right) value pair with
-    left != 0 and right != left - 1; those are exactly the assignments that
-    keep the auxiliary bits around a reserved position independent of the
-    deficit-driven choice there. singles lists the values allowed for the
-    symbol in position 5 when position 3 is pinned to q - 1 (everything but
-    q - 2), ascending.
-    """
+    """Message values of the constrained slots for one alphabet size, as index
+    arithmetic. pair(i) is the i-th, in lexicographic order, of the (q - 1)**2
+    pairs (left, right) with left != 0 and right != left - 1, which keep the
+    auxiliary bits around a reserved position independent of the choice there;
+    single(i) is the i-th value but q - 2. pairs and singles, built on access, list them all."""
 
     def __init__(self, q: int):
         self.q = q = check_int(q, "alphabet size", 3)
-        self.pairs: tuple[tuple[int, int], ...] = tuple(
-            (left, right)
-            for left in range(1, q)
-            for right in range(q)
-            if right != left - 1
-        )
-        self.singles: Word = tuple(v for v in range(q) if v != q - 2)
         self.pair_bits = _ilog2((q - 1) ** 2)  # message bits per constrained pair
         self.single_bits = _ilog2(q - 1)  # message bits in the position-5 symbol
-        self._pair_index = {pair: i for i, pair in enumerate(self.pairs)}
-        self._single_index = {v: i for i, v in enumerate(self.singles)}
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(self.pair, range((self.q - 1) ** 2)))
+
+    @property
+    def singles(self) -> Word:
+        return tuple(map(self.single, range(self.q - 1)))
+
+    def pair(self, i: int) -> tuple[int, int]:
+        left, right = divmod(i, self.q - 1)  # left is the pair's left - 1
+        return left + 1, right + (right >= left)
+
+    def single(self, i: int) -> int:
+        return i + (i >= self.q - 2)
 
     def pair_index(self, pair: tuple[int, int]) -> int:
-        try:
-            return self._pair_index[tuple(pair)]
-        except KeyError:
-            raise ParameterError(f"{pair!r} is not a valid constrained pair for q={self.q}") from None
+        q = self.q
+        try:  # numpy and integral float values name the same pair as ints
+            x, y = pair
+            left, right = int(x), int(y)
+            if left == x and right == y and 0 < left < q and 0 <= right < q and right != left - 1:
+                return (left - 1) * (q - 1) + right - (right >= left)
+        except (TypeError, ValueError, OverflowError):  # not two numbers
+            pass
+        raise ParameterError(f"{pair!r} is not a valid constrained pair for q={q}")
 
     def single_index(self, value: int) -> int:
-        try:
-            return self._single_index[value]
-        except KeyError:
-            raise ParameterError(f"{value!r} is not a valid position-5 value for q={self.q}") from None
+        q = self.q
+        try:  # as in pair_index
+            v = int(value)
+            if v == value and 0 <= v < q and v != q - 2:
+                return v - (v == q - 1)
+        except (TypeError, ValueError, OverflowError):  # not a number
+            pass
+        raise ParameterError(f"{value!r} is not a valid position-5 value for q={q}")
 
 
 # typed: once pair_table(np.int64(3)) is cached, pair_table(3.0) would hit it.
@@ -351,6 +362,7 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
     """
     q = params.q
     table = pair_table(q)
+    pair, pair_bits = table.pair, table.pair_bits
     c: list = [None] * params.n
     text = _bit_text(bits)
     used = params._free_bits
@@ -358,13 +370,13 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
     for run in params._free_runs:
         c[run.start : run.stop] = islice(digits, len(run))
     for left, right in params.pair_positions[1:]:
-        c[left], c[right] = table.pairs[int(text[used : used + table.pair_bits], 2)]
-        used += table.pair_bits
+        c[left], c[right] = pair(int(text[used : used + pair_bits], 2))
+        used += pair_bits
     if q == 3:
         c[3], c[5] = 2, 2
     else:
         c[3] = q - 1
-        c[5] = table.singles[int(text[used : used + table.single_bits], 2)]
+        c[5] = table.single(int(text[used : used + table.single_bits], 2))
         used += table.single_bits
     if used != len(bits):
         raise CodecError(f"message layout used {used} of {len(bits)} bits")
@@ -372,22 +384,14 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
 
 
 def _prefill_aux(c: Sequence, params: QaryVtParams) -> bytearray:
-    """Auxiliary bits of a partially built word, one byte each, reserved
-    positions zeroed; byte i compares positions i and i-1.
-
-    Position 3 is pinned to the largest value in play, so its bit is 1
-    outright; a position just after a reserved power of two compares across
-    it, which stays valid however the reserved symbol is later chosen.
-    """
-    tail = c[3:]  # positions 0..2 are unset; so are the reserved ones, zeroed here
-    reserved = params.dyadic_positions[2:]
-    for pos in reserved:
-        tail[pos - 3] = 0
-    aux = bytearray(b"\0\0\0\1") + _ascent_flags(tail, params.q).to_bytes(len(tail) - 1, "little")
-    for pos in reserved:
-        aux[pos] = 0
-        aux[pos + 1] = c[pos + 1] >= c[pos - 1]
-    return aux
+    """Auxiliary bits of a partially built word, one byte each, reserved positions
+    zeroed; byte i compares positions i and i-1. Position 3 holds the largest value, so
+    its bit is 1. Each reserved 2^j (j >= 2) gets the stand-in c[2^j - 1] - 1, whose bit is
+    0; no constrained pair has right = left - 1, so the next bit is as either choice gives."""
+    tail = c[3:]  # positions 0..2 are unset; so are the reserved ones
+    for pos in params.dyadic_positions[2:]:
+        tail[pos - 3] = c[pos - 1] - 1
+    return bytearray(b"\0\0\0\1") + _ascent_flags(tail, params.q).to_bytes(len(tail) - 1, "little")
 
 
 def _finish_prefix_q3(c: list, aux: bytearray, b: int) -> None:

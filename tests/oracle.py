@@ -15,9 +15,12 @@ kept so the differential tests can check the fast versions against them.
 - The per-symbol loops the library used before its linear-time encoder and
   extractor: the weighted checksums, the q-ary layout (free positions,
   message placement, auxiliary prefill, completion, encode, extract) and
-  the bit and digit conversions. The library must match them word for word,
-  and its encoder and extractor must raise the same exception types; its
-  conversions are unchecked, so they are compared on valid input only.
+  the bit and digit conversions. The layout takes its pair and position-5
+  values from the lexicographic listings (pair_values, single_values) the
+  library stored before it computed them by index arithmetic. The library
+  must match them word for word, and its encoder and extractor must raise
+  the same exception types; its conversions are unchecked, so they are
+  compared on valid input only.
 - The paper's closed form of the constructive q-ary size lower bound, which
   the library computes as the product of the encoder's slot sizes.
 - The word checks the library used before its one-pass range check: a type
@@ -31,6 +34,7 @@ ambiguous correction live here too: only the candidate search and the tests
 use them.
 """
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -52,7 +56,6 @@ from vtcodes.qary import (
     _finish_prefix_q3,
     _ilog2,
     _step6_triple,
-    pair_table,
 )
 from vtcodes.words import (
     Word,
@@ -264,6 +267,19 @@ def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
     return syn % n == a and total % q == b
 
 
+@lru_cache(maxsize=None)
+def pair_values(q: int) -> tuple[tuple[int, int], ...]:
+    """Every (left, right) pair with left != 0 and right != left - 1, in
+    lexicographic order: entry i is the pair slot's value for message index i."""
+    return tuple((left, right) for left in range(1, q) for right in range(q) if right != left - 1)
+
+
+@lru_cache(maxsize=None)
+def single_values(q: int) -> Word:
+    """Every value but q - 2, ascending: entry i is position 5's value for index i."""
+    return tuple(v for v in range(q) if v != q - 2)
+
+
 def _place_message(bits: Word, params: QaryVtParams) -> list:
     """Spread message bits over the free, pair, and position-5 slots.
 
@@ -271,7 +287,8 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
     two still unset (None).
     """
     q = params.q
-    table = pair_table(q)
+    pairs, singles = pair_values(q), single_values(q)
+    pair_bits, single_bits = _ilog2(len(pairs)), _ilog2(len(singles))
     c: list = [None] * params.n
     free = params.free_positions
     used = 0
@@ -282,16 +299,16 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
         for pos, sym in zip(free, int_to_digits(value, q, len(free))):
             c[pos] = sym
     for left, right in params.pair_positions[1:]:
-        idx = bits_to_int(bits[used : used + table.pair_bits])
-        used += table.pair_bits
-        c[left], c[right] = table.pairs[idx]
+        idx = bits_to_int(bits[used : used + pair_bits])
+        used += pair_bits
+        c[left], c[right] = pairs[idx]
     if q == 3:
         c[3], c[5] = 2, 2
     else:
         c[3] = q - 1
-        idx = bits_to_int(bits[used : used + table.single_bits])
-        used += table.single_bits
-        c[5] = table.singles[idx]
+        idx = bits_to_int(bits[used : used + single_bits])
+        used += single_bits
+        c[5] = singles[idx]
     if used != len(bits):
         raise CodecError(f"message layout used {used} of {len(bits)} bits")
     return c
@@ -365,7 +382,8 @@ def extract_q(word: Iterable[int], params: QaryVtParams) -> Word:
         raise UnsupportedParametersError(f"(n={n}, q={q}) carries no message bits")
     if not _matches_code(w, n, q, params.a, params.b):
         raise NotACodewordError(f"word is not in the code (a={params.a}, b={params.b})")
-    table = pair_table(q)
+    pairs, singles = pair_values(q), single_values(q)
+    pair_bits, single_bits = _ilog2(len(pairs)), _ilog2(len(singles))
     bits: list = []
     free = params.free_positions
     if free:
@@ -376,14 +394,14 @@ def extract_q(word: Iterable[int], params: QaryVtParams) -> Word:
         bits += int_to_bits(value, width)
     for left, right in params.pair_positions[1:]:
         try:
-            idx = table.pair_index((w[left], w[right]))
-        except ParameterError as exc:
+            idx = pairs.index((w[left], w[right]))
+        except ValueError as exc:
             raise ExtractionError(
                 f"positions {left}, {right} do not hold a constrained pair"
             ) from exc
-        if idx >> table.pair_bits:
+        if idx >> pair_bits:
             raise ExtractionError(f"pair at positions {left}, {right} exceeds the message range")
-        bits += int_to_bits(idx, table.pair_bits)
+        bits += int_to_bits(idx, pair_bits)
     if q == 3:
         if w[5] != 2 or w[3] not in (1, 2):
             raise ExtractionError("positions 3 and 5 do not match the encoder layout")
@@ -391,12 +409,12 @@ def extract_q(word: Iterable[int], params: QaryVtParams) -> Word:
         if w[3] != q - 1:
             raise ExtractionError(f"position 3 must hold {q - 1}, got {w[3]}")
         try:
-            idx = table.single_index(w[5])
-        except ParameterError as exc:
+            idx = singles.index(w[5])
+        except ValueError as exc:
             raise ExtractionError(f"position 5 holds the excluded value {w[5]}") from exc
-        if idx >> table.single_bits:
+        if idx >> single_bits:
             raise ExtractionError("position 5 exceeds the message range")
-        bits += int_to_bits(idx, table.single_bits)
+        bits += int_to_bits(idx, single_bits)
     if len(bits) != params.k:
         raise CodecError(f"extracted {len(bits)} message bits, expected {params.k}")
     return tuple(bits)

@@ -8,7 +8,8 @@ how many digits they handle per step (q**c <= 256), and check that encode
 matches the oracle, extract inverts it, every output is a codeword and
 distinct messages give distinct words. Round trips at n = 16384 carry free
 blocks past CPython's 4300-digit limit on int/str conversion in other bases
-than powers of two.
+than powers of two, and round trips at alphabets up to 2**64 + 1 show that
+the encoder's pair values cost nothing that grows with q.
 """
 
 import itertools
@@ -183,6 +184,27 @@ def test_round_trip_past_the_int_string_limit(q):
     assert free == oracle.int_to_digits(value, q, len(free))
     assert p.is_member(word)
     assert extract(word, p) == message
+
+
+@pytest.mark.parametrize("q", [3001, 65537, 2**20, 2**64 + 1])
+@pytest.mark.parametrize("n", [16, 20, 100])
+def test_round_trip_at_large_alphabets(n, q):
+    # the pair and position-5 values are index arithmetic, so no alphabet
+    # costs more than its few slots; a (q - 1)**2 table would not fit here
+    p = QaryVtParams(n, q, n // 3, q // 7)
+    rng = random.Random(n * q)
+    messages = {tuple(rng.randrange(2) for _ in range(p.k)) for _ in range(4)}
+    codewords = set()
+    for message in messages:
+        word = encode(message, p)
+        assert p.is_member(word)
+        assert extract(word, p) == message
+        i = rng.randrange(n)
+        assert p.correct(word[:i] + word[i + 1 :]) == word
+        j = rng.randrange(n + 1)
+        assert p.correct(word[:j] + (rng.randrange(q),) + word[j:]) == word
+        codewords.add(word)
+    assert len(codewords) == len(messages)
 
 
 # The lane kernel covers q <= 128; 129 .. 2**64 + 1 compare per symbol.

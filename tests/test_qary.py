@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+import oracle
 from vtcodes.binary import syndrome
 from vtcodes.errors import (
     ExtractionError,
@@ -175,17 +176,22 @@ def test_pair_table_contents():
 
 
 def test_pair_table_structure_for_each_q():
-    for q in (3, 4, 5, 8, 11):
+    for q in (3, 4, 5, 8, 11, 16, 17, 64, 257):
         t = pair_table(q)
+        pairs, singles = oracle.pair_values(q), oracle.single_values(q)
+        assert t.pairs == pairs
+        assert t.singles == singles
         assert len(t.pairs) == (q - 1) ** 2
         assert len(t.singles) == q - 1
         assert list(t.pairs) == sorted(t.pairs)
         assert list(t.singles) == sorted(t.singles)
         assert all(left != 0 and right != left - 1 for left, right in t.pairs)
         assert q - 2 not in t.singles
-        for i, pair in enumerate(t.pairs):
+        for i, pair in enumerate(pairs):
+            assert t.pair(i) == pair
             assert t.pair_index(pair) == i
-        for i, v in enumerate(t.singles):
+        for i, v in enumerate(singles):
+            assert t.single(i) == v
             assert t.single_index(v) == i
 
 
