@@ -1,21 +1,23 @@
 """Exact censuses of the codes, analytic size and rate bounds, and the
 CSV/JSON report writers.
 
-Code sizes are counted by dynamic programming over word positions with
-Python ints, so every count is exact at any length: O(n^2) additions for the
-binary census and O(n^2 q^2) for the q-ary one. binary_codewords lists one
-residue by meet in the middle: the words over each half of the positions are
-built once, and each codeword is one join of a high half with a low half
-whose checksum completes the residue, O(2^ceil(n/2) + output) work.
-The limits (binary length <= BINARY_LENGTH_LIMIT, q-ary word count <=
-QARY_WORD_LIMIT by default) are kept as the API contract. The constructive
-lower bound is the product of the encoder's message slot sizes
-(qary._slot_sizes), the count the encoder's rate is read from. Bounds use
-exact integer or rational arithmetic where possible. A bound reported as a
-float is refused with ParameterError where it leaves the float range; census
-rows report such a bound as None (an empty CSV cell, JSON null) and still
-carry the counts. rounded() rounds every float in a report to 6 decimal
-places.
+Counts are exact Python ints. The binary census is the closed form of Ginzburg
+(1967) and Stanley and Yoder (1973), restated in Sloane's 2002 survey: with
+N = n + 1, |VT_a(n)| = (1/2N) * sum over odd d | N of c_d(a) * 2**(N/d), the
+Ramanujan sum c_d(a) depending on a only through gcd(a, N). The q-ary census is
+a DP over word positions on packed ints: per last symbol c, q blocks of n
+lanes, lane b*n + a counting the words with symbol sum b and auxiliary checksum
+a in (q**n).bit_length() + 1 bits. No count passes q**n and every difference
+taken is non-negative lane by lane, so no lane carries or borrows; a step is
+O(q) big-int operations. binary_codewords lists one residue by meet in the
+middle, O(2^ceil(n/2) + output) work. The limits (binary length <=
+BINARY_LENGTH_LIMIT, q-ary word count <= QARY_WORD_LIMIT by default) are kept
+as the API contract. The constructive lower bound is the product of the
+encoder's message slot sizes (qary._slot_sizes), which also gives the encoder's
+rate. Bounds use exact integer or rational arithmetic where possible; a float
+bound past the float range is refused with ParameterError, and census rows
+report it as None (an empty CSV cell, JSON null). rounded() rounds report
+floats to 6 decimal places; README's Enumeration limits gives measured costs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
 
 from .binary import BinaryVtParams
 from .errors import LimitExceededError, ParameterError
@@ -49,12 +50,20 @@ def _check_binary_length(n: int, limit: int) -> int:
 
 @lru_cache(maxsize=None)
 def _binary_census(n: int) -> tuple[int, ...]:
-    # counts[s]: words over positions 1..i with checksum s mod n + 1
-    counts = [1] + [0] * n
-    for i in range(1, n + 1):
-        # position i adds i to every word holding a 1 there
-        counts = list(map(add, counts, counts[-i:] + counts[:-i]))
-    return tuple(counts)
+    # c_d(a) = mu(d/g) * phi(d) / phi(d/g) with g = gcd(d, a), over the odd divisors d
+    size = n + 1
+    odd = size // (size & -size)
+    trial = range(1, math.isqrt(odd) + 1, 2)
+    divisors = sorted({x for d in trial if odd % d == 0 for x in (d, odd // d)})
+    mu = {}  # Moebius: over the divisors of any d > 1 it sums to 0
+    for d in divisors:
+        mu[d] = (d == 1) - sum(m for e, m in mu.items() if d % e == 0)
+    phi = {d: sum(mu[e] * (d // e) for e in divisors if d % e == 0) for d in divisors}  # Euler
+    sizes = {}  # c_d(a) depends on a only through g = gcd(a, odd)
+    for g in divisors:
+        r = {d: d // math.gcd(d, g) for d in divisors}
+        sizes[g] = sum(mu[r[d]] * phi[d] // phi[r[d]] << size // d for d in divisors) // (2 * size)
+    return tuple(sizes[math.gcd(a, odd)] for a in range(size))
 
 
 def binary_census(n: int, limit: int = BINARY_LENGTH_LIMIT) -> tuple[int, ...]:
@@ -116,24 +125,29 @@ def _check_qary_shape(n: int, q: int, limit: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _qary_census(n: int, q: int) -> tuple[tuple[int, ...], ...]:
-    # ways[c][b][a]: words over the first i positions that end in symbol c,
-    # with symbol sum b mod q and auxiliary checksum a mod n
-    ways = [[[int(b == c and a == 0) for a in range(n)] for b in range(q)] for c in range(q)]
+    # ways[c]: words over the first i positions that end in symbol c, one lane
+    # of w bits per (symbol sum b mod q, auxiliary checksum a mod n) at lane b*n + a
+    w = (q**n).bit_length() + 1
+    block, size = n * w, q * n * w
+    full = (1 << size) - 1
+    first, blocks = (1 << w) - 1, 1
+    while blocks < q:  # lane 0 of the first `blocks` blocks, doubling them
+        first, blocks = first | first << blocks * block, 2 * blocks
+    first &= full  # lane 0 of every block
+    low, ways = 0, [1 << c * block for c in range(q)]
     for i in range(1, n):
-        total = [list(map(sum, zip(*rows))) for rows in zip(*ways)]
-        below = [[0] * n for _ in range(q)]
-        grown = []
+        low |= first << (i - 1) * w  # lanes 0 .. i-1 of every block
+        high, up, down = full ^ low, i * w, (n - i) * w
+        total, below = sum(ways), 0
         for c in range(q):
-            # appending c adds i to the checksum of words ending in a symbol
-            # <= c, leaves the others, and adds c to every symbol sum
-            below = [list(map(add, x, y)) for x, y in zip(below, ways[c])]
-            rows = [
-                list(map(add, r[-i:] + r[:-i], map(sub, t, r))) for r, t in zip(below, total)
-            ]
-            grown.append(rows[-c:] + rows[:-c])
-        ways = grown
-    final = [list(map(sum, zip(*rows))) for rows in zip(*ways)]
-    return tuple(zip(*final))
+            # appending c adds i to the checksum of words ending in a symbol <= c
+            # (each block rotates i lanes) and c to every sum (the int rotates c blocks)
+            below += ways[c]
+            rows = (below << up & high | below >> down & low) + total - below
+            ways[c] = (rows << c * block | rows >> size - c * block) & full
+    final, lane = sum(ways), (1 << w) - 1
+    counts = [final >> k & lane for k in range(0, size, w)]
+    return tuple(zip(*[counts[b : b + n] for b in range(0, q * n, n)]))
 
 
 def qary_census(n: int, q: int, limit: int = QARY_WORD_LIMIT) -> tuple[tuple[int, ...], ...]:

@@ -212,16 +212,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    # census counts are exact and may pass the int/str digit limit (4300 by default)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         text, payload = args.handler(args)
+        print(json.dumps(payload, indent=2) if args.json else text)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CodecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODEC
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    finally:
+        sys.set_int_max_str_digits(digits)
     return EXIT_OK

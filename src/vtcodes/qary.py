@@ -242,30 +242,29 @@ class QaryVtParams(CodeParams):
         text = _digits_text(free, q, self._free_bits)
         if text is None:
             raise ExtractionError("free-position symbols exceed the message range")
+        # pair_index and single_index, unchecked: the word is range-checked
+        q1, pair_bits, single_bits = q - 1, table.pair_bits, table.single_bits
         slots = 1  # the pair and position-5 indices in turn, under a lead 1
         for left, right in self.pair_positions[1:]:
-            try:
-                idx = table.pair_index((w[left], w[right]))
-            except ParameterError as exc:
-                raise ExtractionError(
-                    f"positions {left}, {right} do not hold a constrained pair"
-                ) from exc
-            if idx >> table.pair_bits:
+            x, y = w[left], w[right]
+            if x == 0 or y == x - 1:
+                raise ExtractionError(f"positions {left}, {right} do not hold a constrained pair")
+            idx = (x - 1) * q1 + y - (y >= x)
+            if idx >> pair_bits:
                 raise ExtractionError(f"pair at positions {left}, {right} exceeds the message range")
-            slots = slots << table.pair_bits | idx
+            slots = slots << pair_bits | idx
         if q == 3:
             if w[5] != 2 or w[3] not in (1, 2):
                 raise ExtractionError("positions 3 and 5 do not match the encoder layout")
         else:
-            if w[3] != q - 1:
-                raise ExtractionError(f"position 3 must hold {q - 1}, got {w[3]}")
-            try:
-                idx = table.single_index(w[5])
-            except ParameterError as exc:
-                raise ExtractionError(f"position 5 holds the excluded value {w[5]}") from exc
-            if idx >> table.single_bits:
+            if w[3] != q1:
+                raise ExtractionError(f"position 3 must hold {q1}, got {w[3]}")
+            if w[5] == q - 2:
+                raise ExtractionError(f"position 5 holds the excluded value {w[5]}")
+            idx = w[5] - (w[5] == q1)
+            if idx >> single_bits:
                 raise ExtractionError("position 5 exceeds the message range")
-            slots = slots << table.single_bits | idx
+            slots = slots << single_bits | idx
         bits = _text_bits(text + format(slots, "b")[1:].encode())
         if len(bits) != self.k:
             raise CodecError(f"extracted {len(bits)} message bits, expected {self.k}")

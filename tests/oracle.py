@@ -9,6 +9,12 @@ kept so the differential tests can check the fast versions against them.
   before its dynamic programmes. Each one walks all q^n words in numpy
   chunks, so they are only usable for small word spaces; the censuses must
   match them count for count, and the listing word for word, in order.
+- The list-of-lists dynamic programmes the library used for its censuses
+  before the packed-lane q-ary census and the binary closed form
+  (binary_census_dp, qary_census_dp). They reach lengths no brute force
+  can: O(n^2) big-int additions for the binary census and O(n^2 * q^2) list
+  operations for the q-ary one. The censuses must match them count for
+  count.
 - The per-position binary message layout the library used before it moved
   message bits as slices of runs: a position list, filled and read one bit
   at a time.
@@ -35,6 +41,7 @@ use them.
 """
 
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -224,6 +231,36 @@ def qary_census(n: int, q: int) -> tuple[tuple[int, ...], ...]:
         counts += np.bincount(syn * q + tot, minlength=n * q)
     grid = counts.reshape(n, q)
     return tuple(tuple(int(v) for v in row) for row in grid)
+
+
+def binary_census_dp(n: int) -> tuple[int, ...]:
+    # counts[s]: words over positions 1..i with checksum s mod n + 1
+    counts = [1] + [0] * n
+    for i in range(1, n + 1):
+        # position i adds i to every word holding a 1 there
+        counts = list(map(add, counts, counts[-i:] + counts[:-i]))
+    return tuple(counts)
+
+
+def qary_census_dp(n: int, q: int) -> tuple[tuple[int, ...], ...]:
+    # ways[c][b][a]: words over the first i positions that end in symbol c,
+    # with symbol sum b mod q and auxiliary checksum a mod n
+    ways = [[[int(b == c and a == 0) for a in range(n)] for b in range(q)] for c in range(q)]
+    for i in range(1, n):
+        total = [list(map(sum, zip(*rows))) for rows in zip(*ways)]
+        below = [[0] * n for _ in range(q)]
+        grown = []
+        for c in range(q):
+            # appending c adds i to the checksum of words ending in a symbol
+            # <= c, leaves the others, and adds c to every symbol sum
+            below = [list(map(add, x, y)) for x, y in zip(below, ways[c])]
+            rows = [
+                list(map(add, r[-i:] + r[:-i], map(sub, t, r))) for r, t in zip(below, total)
+            ]
+            grown.append(rows[-c:] + rows[:-c])
+        ways = grown
+    final = [list(map(sum, zip(*rows))) for rows in zip(*ways)]
+    return tuple(zip(*final))
 
 
 def qary_size_lower_bound(n: int, q: int) -> int:

@@ -1,11 +1,13 @@
-"""The dynamic-programming censuses against the brute-force oracle, and the
-checks only they can reach: size bounds and even splits at lengths far past
-any brute-force word space."""
+"""The censuses against the brute-force oracle and against the list dynamic
+programmes they replaced, and the checks only they can reach: size bounds
+and even splits at lengths far past any brute-force word space."""
 
+import math
 from itertools import compress, count
 from operator import lt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from vtcodes import analysis
@@ -43,6 +45,57 @@ def test_qary_census_matches_brute_force(n, q):
 def test_binary_census_matches_brute_force():
     for n in range(1, 21):
         assert binary_census(n) == oracle.binary_census(n)
+
+
+@pytest.mark.parametrize("q", range(3, 10))
+def test_lane_census_matches_the_dp(q):
+    for n in range(2, 25):
+        assert qary_census(n, q, limit=q**n) == oracle.qary_census_dp(n, q), n
+
+
+# lengths past the grid above; wide alphabets, whose ints hold q**2 * n lanes;
+# and shapes where q**n is a power of two, so a count fills its lane but the
+# spare bit
+@pytest.mark.parametrize(
+    "n, q", [(32, 4), (48, 7), (64, 8), (3, 255), (4, 64), (8, 8), (12, 4), (6, 16)]
+)
+def test_lane_census_matches_the_dp_at_scale(n, q):
+    assert qary_census(n, q, limit=q**n) == oracle.qary_census_dp(n, q)
+
+
+def test_lane_census_at_the_widest_alphabet_matches_brute_force():
+    # the DP keeps q**2 lists of n counts, 16.8 million lists here, and takes about 100 s
+    assert qary_census(2, 4096, limit=4096**2) == oracle.qary_census(2, 4096)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.integers(3, 40).flatmap(lambda q: st.tuples(st.integers(2, max(2, 60 // q)), st.just(q))))
+def test_lane_census_matches_the_dp_on_drawn_shapes(shape):
+    n, q = shape
+    assert qary_census(n, q, limit=q**n) == oracle.qary_census_dp(n, q)
+
+
+def test_binary_closed_form_matches_the_dp():
+    for n in range(1, 1025):
+        assert binary_census(n, limit=n) == oracle.binary_census_dp(n), n
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.integers(1, 1500))
+def test_binary_closed_form_matches_the_dp_on_drawn_lengths(n):
+    assert binary_census(n, limit=n) == oracle.binary_census_dp(n)
+
+
+# n + 1 = 2**12 and 2**14, and 15015 = 3 * 5 * 7 * 11 * 13 with 32 classes
+@pytest.mark.parametrize("n", [4095, 16383, 15014])
+def test_binary_closed_form_past_the_dp(n):
+    counts = binary_census(n, limit=n)
+    assert sum(counts) == 1 << n
+    assert all(binary_size_within_bounds(n, c) for c in set(counts))
+    classes = {}
+    for a, c in enumerate(counts):
+        classes.setdefault(math.gcd(a, n + 1), set()).add(c)
+    assert all(len(values) == 1 for values in classes.values())
 
 
 LISTING_CASES = [(n, a) for n in range(1, 17) for a in range(n + 1)]

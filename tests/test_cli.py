@@ -4,9 +4,11 @@ and exit codes."""
 import csv
 import io
 import json
+import sys
 
 import pytest
 
+from vtcodes.analysis import binary_census
 from vtcodes.cli import EXIT_CODEC, EXIT_OK, EXIT_USAGE, main
 
 REF_ARGS = ["--q", "8", "--n", "16", "--a", "0", "--b", "1"]
@@ -244,3 +246,22 @@ def test_bounds_past_the_float_range_exit_1(capsys, q, n):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: size bounds at (n={n}, q={q}) exceed the float range\n"
+
+
+def test_enumerate_prints_counts_past_the_int_str_digit_limit(capsys):
+    digits = sys.get_int_max_str_digits()
+    argv = ["enumerate", "--q", "2", "--n", "14400", "--limit", "14400", "--a", "0"]
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    text = out.splitlines()[1].split(",")[4]
+    code, out = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert sys.get_int_max_str_digits() == digits  # main puts the limit back
+    assert len(text) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = binary_census(14400, limit=14400)[0]
+        assert int(text) == expected
+        assert json.loads(out)["counts"] == [{"a": 0, "b": None, "count": expected}]
+    finally:
+        sys.set_int_max_str_digits(digits)
