@@ -26,6 +26,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -355,7 +356,7 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, float):
         return f"{value:.6f}"
-    return str(value)
+    return str(Decimal(value))  # exact, and past the int/str digit limit too
 
 
 def census_csv(rows: list[CodeCensus]) -> str:

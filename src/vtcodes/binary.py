@@ -26,7 +26,7 @@ from .words import (
     check_int,
     check_params,
     check_residue,
-    check_symbols,
+    check_word,
 )
 
 
@@ -190,7 +190,7 @@ def validate_syndrome_positions(n: int, positions: Iterable[int]) -> bool:
     used by encode() always qualifies.
     """
     n = check_int(n, "n", 1)
-    pos = check_symbols(positions)
+    pos = check_word(positions)
     if not pos:
         raise ParameterError("at least one position is required")
     if len(set(pos)) != len(pos):

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ParameterError, UnsupportedParametersError, VtCodeError
-from .words import CodeParams, Word, _apply, _text_bits, check_int, check_symbols, format_bitstring
+from .words import CodeParams, Word, _apply, _text_bits, check_int, check_word, format_bitstring
 
 EVENT_KINDS = ("deletion", "insertion", "identity")
 CHANNEL_KINDS = ("deletion", "insertion", "mixed", "identity")
@@ -61,7 +61,7 @@ def apply_channel(word, event: ChannelEvent) -> Word:
     """Apply one event to a word. Deletion positions must lie in 0..len-1,
     insertion positions in 0..len; the caller guarantees the inserted symbol
     fits the word's alphabet."""
-    return _apply(check_symbols(word), event.kind, event.position, event.symbol)
+    return _apply(check_word(word), event.kind, event.position, event.symbol)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from .words import (
     check_int,
     check_params,
     check_residue,
-    check_symbols,
     check_word,
 )
 
@@ -61,7 +60,7 @@ def aux_sequence(word: Iterable[int]) -> Word:
     Bit i (for i = 1 .. n-1, reported 0-indexed) is 1 exactly when the symbol
     in position i is >= its left neighbour.
     """
-    w = check_symbols(word)
+    w = check_word(word)
     if len(w) < 2:
         raise ParameterError(f"word must have length at least 2, got {len(w)}")
     return _ascents(w, max(w) + 1)
@@ -125,48 +124,48 @@ class PairTable:
     arithmetic. pair(i) is the i-th, in lexicographic order, of the (q - 1)**2
     pairs (left, right) with left != 0 and right != left - 1, which keep the
     auxiliary bits around a reserved position independent of the choice there;
-    single(i) is the i-th value but q - 2. pairs and singles, built on access, list them all."""
+    single(i) is the i-th value but q - 2. pairs and singles, built on access, list them all.
+    Indices are checked like any residue, and pairs and values like any word over q."""
 
     def __init__(self, q: int):
         self.q = q = check_int(q, "alphabet size", 3)
-        self.pair_bits = _ilog2((q - 1) ** 2)  # message bits per constrained pair
+        self.pair_count = (q - 1) ** 2
+        self.pair_bits = _ilog2(self.pair_count)  # message bits per constrained pair
         self.single_bits = _ilog2(q - 1)  # message bits in the position-5 symbol
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(self.pair, range((self.q - 1) ** 2)))
+        return tuple(map(self.pair, range(self.pair_count)))
 
     @property
     def singles(self) -> Word:
         return tuple(map(self.single, range(self.q - 1)))
 
     def pair(self, i: int) -> tuple[int, int]:
+        if type(i) is not int or not 0 <= i < self.pair_count:  # plain ints in range skip the call
+            i = check_residue(i, "pair index", self.pair_count)
         left, right = divmod(i, self.q - 1)  # left is the pair's left - 1
         return left + 1, right + (right >= left)
 
     def single(self, i: int) -> int:
+        if type(i) is not int or not 0 <= i < self.q - 1:  # as in pair
+            i = check_residue(i, "position-5 index", self.q - 1)
         return i + (i >= self.q - 2)
 
     def pair_index(self, pair: tuple[int, int]) -> int:
         q = self.q
-        try:  # numpy and integral float values name the same pair as ints
-            x, y = pair
-            left, right = int(x), int(y)
-            if left == x and right == y and 0 < left < q and 0 <= right < q and right != left - 1:
-                return (left - 1) * (q - 1) + right - (right >= left)
-        except (TypeError, ValueError, OverflowError):  # not two numbers
-            pass
-        raise ParameterError(f"{pair!r} is not a valid constrained pair for q={q}")
+        w = check_word(pair, q)
+        if len(w) != 2 or w[0] == 0 or w[1] == w[0] - 1:
+            raise ParameterError(f"{w} is not a valid constrained pair for q={q}")
+        left, right = w
+        return (left - 1) * (q - 1) + right - (right >= left)
 
     def single_index(self, value: int) -> int:
         q = self.q
-        try:  # as in pair_index
-            v = int(value)
-            if v == value and 0 <= v < q and v != q - 2:
-                return v - (v == q - 1)
-        except (TypeError, ValueError, OverflowError):  # not a number
-            pass
-        raise ParameterError(f"{value!r} is not a valid position-5 value for q={q}")
+        (v,) = check_word((value,), q)
+        if v == q - 2:
+            raise ParameterError(f"{v} is not a valid position-5 value for q={q}")
+        return v - (v == q - 1)
 
 
 # typed: once pair_table(np.int64(3)) is cached, pair_table(3.0) would hit it.

@@ -6,9 +6,11 @@ sequence is a contiguous string of '0'/'1' characters with the lowest index
 leftmost; a q-ary word is a run of space-separated decimal symbols, which
 stays unambiguous for alphabets larger than ten.
 
-Words are validated once, at the public boundary: check_word and check_bits
-make one type pass and, for q <= 256, one bytearray().translate() range pass,
-and the codecs hand the checked tuple to unchecked cores; CodeParams, the
+Words are validated once, at the public boundary, by check_word, the one
+word check (check_bits and check_symbols are its binary and alphabet-free
+spellings): one type pass and, when every symbol fits in a byte, one
+bytearray().translate() range pass at any alphabet, and the codecs hand the
+checked tuple to unchecked cores; CodeParams, the
 base of both params classes, holds that codec flow once, rebuilding a
 corrected word with _apply, the edit primitive the channel uses too, and
 check_params keeps each family's module functions to that family's params. The block
@@ -90,55 +92,40 @@ def _int_symbols(word: Iterable[int]) -> Word:
     return out
 
 
-def _non_negative(out: Word) -> Word:
-    if out and min(out) < 0:
-        bad = next(s for s in out if s < 0)
-        raise ParameterError(f"symbols must be non-negative, got {bad}")
-    return out
-
-
-def check_symbols(word: Iterable[int]) -> Word:
-    """Validate a sequence of non-negative integer symbols (alphabet unknown).
-    numpy integers are accepted; bool, float and str symbols are refused.
-    A word bytearray() accepts holds only symbols in 0..255 and needs no
-    min pass."""
-    out = _int_symbols(word)
-    try:
-        bytearray(out)
-    except ValueError:  # a symbol outside 0..255
-        return _non_negative(out)
-    return out
-
-
 _BYTE_VALUES = bytes(range(256))
 
 
-def check_word(word: Iterable[int], q: int) -> Word:
-    """Validate a word over the alphabet {0, .., q-1} and return it as a tuple.
+def check_word(word: Iterable[int], q: int | None = None) -> Word:
+    """Validate a word over the alphabet {0, .., q-1}, or of non-negative
+    symbols when q is None, and return it as a tuple. numpy integers are
+    accepted; bool, float and str symbols are refused.
 
-    For q <= 256 the range check is one C pass: bytearray() refuses a
-    symbol outside 0..255 (it reads a tuple faster than bytes() does), and
-    translate() deletes the alphabet, leaving the out-of-range symbols in
-    order. A word bytearray() refuses is checked with min/max, so every error
-    names the same first bad symbol either way.
+    A word of byte-sized symbols takes one C pass for the range at any q:
+    bytearray() reads the tuple (faster than bytes() does), and translate()
+    deletes the alphabet's byte values (all of them for q None or q >= 256,
+    none for q <= 0), leaving the out-of-range symbols in order. A word
+    bytearray() refuses, which holds a symbol outside 0..255, is checked with
+    min/max, so every error names the same first bad symbol either way.
     """
-    if type(q) is not int:
+    if type(q) is not int and q is not None:
         q = check_int(q, "alphabet size")
     out = _int_symbols(word)
-    if 0 <= q <= 256:
-        try:
-            stray = bytearray(out).translate(None, _BYTE_VALUES[:q])
-        except ValueError:  # a symbol outside 0..255
-            pass
-        else:
-            if stray:
-                raise ParameterError(f"symbol {stray[0]} out of range for alphabet size {q}")
-            return out
-    _non_negative(out)
-    if out and max(out) >= q:
-        bad = next(s for s in out if s >= q)
-        raise ParameterError(f"symbol {bad} out of range for alphabet size {q}")
+    try:
+        stray = bytearray(out).translate(None, _BYTE_VALUES[:q] if q is None or q > 0 else b"")
+    except ValueError:  # a symbol outside 0..255, so out is not empty
+        if min(out) < 0:
+            bad = next(s for s in out if s < 0)
+            raise ParameterError(f"symbols must be non-negative, got {bad}") from None
+        if q is not None and max(out) >= q:
+            bad = next(s for s in out if s >= q)
+            raise ParameterError(f"symbol {bad} out of range for alphabet size {q}") from None
+        return out
+    if stray:
+        raise ParameterError(f"symbol {stray[0]} out of range for alphabet size {q}")
     return out
+
+
+check_symbols = check_word  # check_symbols(word) is check_word(word): any non-negative symbols
 
 
 def check_bits(bits: Iterable[int]) -> Word:
@@ -163,11 +150,11 @@ def parse_symbols(text: str) -> Word:
         out = tuple(int(tok) for tok in text.split())
     except ValueError:
         raise ParameterError(f"symbols must be decimal integers, got {text!r}") from None
-    return check_symbols(out)
+    return check_word(out)
 
 
 def format_symbols(word: Iterable[int]) -> str:
-    return " ".join(str(s) for s in check_symbols(word))
+    return " ".join(str(s) for s in check_word(word))
 
 
 # Unchecked conversions: bits travel as b"0101" text, so builtins do the per-bit work.

@@ -3,6 +3,8 @@ programmes they replaced, and the checks only they can reach: size bounds
 and even splits at lengths far past any brute-force word space."""
 
 import math
+import sys
+from decimal import Decimal
 from itertools import compress, count
 from operator import lt
 
@@ -212,6 +214,16 @@ def test_census_rows_report_bounds_past_the_float_range_as_none(n, q):
     last = census_csv(rows).splitlines()[-1]
     assert last.endswith(f",{'' if lower is None else lower},")
     assert rows_report(rows)["bounds"] == {"size_lower": lower, "size_upper": None}
+
+
+def test_census_csv_writes_counts_past_the_int_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit <= 4300  # the process keeps a digit limit, which census_csv does not lift
+    rows = census_rows(14400, 2, limit=14400, a=0)
+    cell = census_csv(rows).splitlines()[1].split(",")[4]
+    assert sys.get_int_max_str_digits() == limit
+    assert cell.isdigit() and len(cell) > 4300
+    assert int(Decimal(cell)) == rows[0].count == binary_census(14400, limit=14400)[0]
 
 
 @pytest.mark.parametrize("q", [*range(3, 10), 17, 256])

@@ -104,6 +104,10 @@ INT_CALLS = [
     (lambda limit: enumerate_q(8, 4, 1, 2, limit), (4**8,)),
     (lambda limit: census_rows(8, 2, limit), (12,)),
     (lambda limit: census_rows(6, 3, limit), (3**6,)),
+    (pair_table(8).pair, (18,)),
+    (pair_table(8).single, (5,)),
+    (lambda left, right: pair_table(8).pair_index((left, right)), (3, 5)),
+    (pair_table(8).single_index, (7,)),
 ]
 
 

@@ -184,11 +184,14 @@ def outcome(check, *args):
 
 @st.composite
 def words_and_alphabets(draw):
-    q = draw(st.sampled_from([2, 3, 4, 255, 256, 257, 300, 1, 0, -2]))
-    symbol = st.integers(0, max(q - 1, 0))
+    q = draw(st.sampled_from([2, 3, 4, 255, 256, 257, 300, 65537, 1, 0, -2, None]))
+    top = 1 << 62 if q is None else max(q, 0)  # q None takes any non-negative symbol
+    symbol = st.integers(0, max(top - 1, 0))
+    if top > 300:  # symbols past 255 and byte-sized words, which take the range pass
+        symbol = st.one_of(symbol, st.integers(0, 255))
     if draw(st.booleans()):  # out-of-range symbols, then other kinds of bad one
         low = -1 if draw(st.booleans()) else 0
-        symbol = st.one_of(st.integers(low, max(q, 0) + 1), st.sampled_from([low, q, q + 1]))
+        symbol = st.one_of(st.integers(low, top + 1), st.sampled_from([low, top, top + 1]))
         if draw(st.booleans()):
             symbol = st.one_of(symbol, symbol.map(np.int64))
         if draw(st.booleans()):
@@ -201,7 +204,10 @@ def words_and_alphabets(draw):
 @given(words_and_alphabets())
 def test_word_checks_match_the_min_max_oracle(case):
     q, word, container = case
-    expected = outcome(oracle.check_word, container(word), q)
+    if q is None:
+        expected = outcome(oracle.check_symbols, container(word))
+    else:
+        expected = outcome(oracle.check_word, container(word), q)
     assert outcome(check_word, container(word), q) == expected
     assert outcome(check_symbols, container(word)) == outcome(oracle.check_symbols, container(word))
     if q == 2:
