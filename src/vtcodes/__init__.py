@@ -8,9 +8,10 @@ the resulting code corrects any single symbol deletion or insertion.
 The package provides systematic encoders that place message bits at fixed
 positions, the matching extractors, linear-time correction (Levenshtein's
 decoder for binary codes, Tenengolts' for q-ary ones), exact code-size
-censuses by dynamic programming with size/rate bounds (vtcodes.analysis), a seeded channel
-simulator (vtcodes.channel), and a CLI (vtcodes.cli, installed as the
-`vtcodes` script).
+censuses with size/rate bounds (vtcodes.analysis: the binary census in
+closed form, the q-ary one by a dynamic programme on packed big-int lanes),
+a seeded channel simulator (vtcodes.channel), and a CLI (vtcodes.cli,
+installed as the `vtcodes` script).
 """
 
 from .analysis import (

@@ -13,7 +13,7 @@ O(q) big-int operations. binary_codewords lists one residue by meet in the
 middle, O(2^ceil(n/2) + output) work. The limits (binary length <=
 BINARY_LENGTH_LIMIT, q-ary word count <= QARY_WORD_LIMIT by default) are kept
 as the API contract. The constructive lower bound is the product of the
-encoder's message slot sizes (qary._slot_sizes), which also gives the encoder's
+encoder's message slot sizes (qary._layout), which also gives the encoder's
 rate. Bounds use exact integer or rational arithmetic where possible; a float
 bound past the float range is refused with ParameterError, and census rows
 report it as None (an empty CSV cell, JSON null). rounded() rounds report
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .binary import BinaryVtParams
 from .errors import LimitExceededError, ParameterError
-from .qary import _code_shape, _slot_sizes, message_length
+from .qary import _layout
 from .words import check_int, check_residue
 
 BINARY_LENGTH_LIMIT = 20
@@ -176,7 +176,7 @@ def qary_size_lower_bound(n: int, q: int) -> int:
     2^(2(t-3)) * 3^(n-3t+3) for q = 3, with t = ceil(log2 n): the product
     of the slot sizes.
     """
-    return math.prod(_slot_sizes(n, q))
+    return math.prod(_layout(n, q).sizes)
 
 
 def single_deletion_size_bound(n: int, q: int) -> Fraction:
@@ -243,8 +243,8 @@ def rate_bounds(n: int, q: int) -> RateReport:
     lower bound over n. encoder_rate_floor is the closed-form floor
     log2(3) - 2.76*t/n - 2.25/n, defined for q = 3 only.
     """
-    n, q, t = _code_shape(n, q)
-    k = message_length(n, q)
+    layout = _layout(n, q)
+    n, q, t, k = layout.n, layout.q, layout.t, layout.k
     lg = math.log2
     floor = lg(3) - 2.76 * t / n - 2.25 / n if q == 3 else None
     return RateReport(

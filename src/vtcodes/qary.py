@@ -10,7 +10,11 @@ The systematic encoder reserves the power-of-two positions 2^j and their odd
 neighbours 2^j - 1, 2^j + 1. Free message symbols ride in the remaining
 positions; the neighbour pairs carry message data as constrained value
 pairs; the reserved positions then absorb the checksum deficit and the first
-three symbols absorb the sum deficit. Lengths with n - 1 a power of two would
+three symbols absorb the sum deficit. One cached _layout(n, q) describes
+where the message goes, and the encoder, the reader, k and the size bound
+all read it. Position 5 is a pair slot there too, at (3, 5), by the identity
+single(i) = pair((q - 2)(q - 1) + i)[1]; q = 3 pins it to pair 3 = (2, 2),
+which carries no bits. Lengths with n - 1 a power of two would
 need position n for the layout and are rejected. Encoding and extraction do
 their per-symbol work in builtins: the free symbols move as slices of runs
 between the reserved blocks. The auxiliary bits and their weighted
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, islice
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .binary import _levenshtein_restore
 from .errors import (
@@ -87,9 +91,32 @@ def _ilog2(x: int) -> int:
     return x.bit_length() - 1
 
 
-def _code_shape(n: int, q: int) -> tuple[int, int, int]:
-    """(n, q, t) as plain ints, where t = ceil(log2 n) counts the reserved
-    powers of two; raises unless the encoder's layout supports the shape."""
+class _Layout(NamedTuple):
+    """Where the systematic encoder puts a message at one (n, q) shape: n and q
+    as plain ints; t reserved powers of two 2^j, j < t; and, in message order,
+    the free block (the runs between the reserved blocks 2^j - 1 .. 2^j + 1,
+    j >= 2) with free_bits bits, then one record (left, right, first, bits)
+    per constrained slot, whose pair is pair_table(q).pair(first + v) for a
+    bits-wide v: first 0 at 2^j -/+ 1 (j >= 3), then position 5 (see the module
+    docstring). sizes counts the values of the free block and of each slot,
+    and k the bits of all, floor(log2) of each size.
+    """
+
+    n: int
+    q: int
+    t: int
+    free_runs: tuple[slice, ...]
+    free_bits: int
+    slots: tuple[tuple[int, int, int, int], ...]
+    sizes: tuple[int, ...]
+    k: int
+
+
+# typed, as pair_table: a layout cached for 16 must not answer 16.0
+@lru_cache(maxsize=256, typed=True)
+def _layout(n: int, q: int) -> _Layout:
+    """The encoder's layout at (n, q); raises the shape's refusal: n >= 6,
+    q >= 3, and n - 1 not a power of two, whose block would need position n."""
     q = check_int(q, "alphabet size", 3)
     n = check_int(n, "code length", 6)
     if (n - 1) & (n - 2) == 0:
@@ -97,26 +124,26 @@ def _code_shape(n: int, q: int) -> tuple[int, int, int]:
             f"length {n} is unsupported: the reserved-position layout needs "
             f"position {n}, one past the end"
         )
-    return n, q, (n - 1).bit_length()
-
-
-def _slot_sizes(n: int, q: int) -> tuple[int, ...]:
-    """How many values each message slot of the encoder can take at length
-    n, alphabet q: the free block of n - 3t + 3 symbols, one constrained pair
-    per reserved power of two above 4, and (for q >= 4) the lone constrained
-    symbol in position 5. Each slot carries floor(log2) of its size in bits.
-    """
-    n, q, t = _code_shape(n, q)
-    single = (q - 1,) if q > 3 else ()  # q = 3 pins position 5 to 2
-    return (q ** (n - 3 * t + 3),) + ((q - 1) ** 2,) * (t - 3) + single
+    t = (n - 1).bit_length()
+    blocks = [1 << j for j in range(2, t)]
+    free_runs = tuple(map(slice, [p + 2 for p in blocks], [p - 1 for p in blocks[1:]] + [n]))
+    table = pair_table(q)
+    if q == 3:  # c[3] and c[5] pinned to 2 (see _finish_prefix_q3)
+        first5, size5 = table.pair_index((2, 2)), 1
+    else:
+        first5, size5 = table._single_offset, q - 1
+    sizes = (q ** (n - 3 * t + 3),) + (table.pair_count,) * (t - 3) + (size5,)
+    bits = tuple(map(_ilog2, sizes))
+    slots = tuple((p - 1, p + 1, 0, bits[1]) for p in blocks[1:]) + ((3, 5, first5, bits[-1]),)
+    return _Layout(n, q, t, free_runs, bits[0], slots, sizes, sum(bits))
 
 
 def message_length(n: int, q: int) -> int:
     """Message bits carried by the systematic encoder at length n, alphabet q:
-    the bits of every slot (see _slot_sizes) added up. May be 0 for the
-    smallest shapes, e.g. (n=6, q=3).
+    the bits of every slot (see _Layout) added up. May be 0 for the smallest
+    shapes, e.g. (n=6, q=3).
     """
-    return sum(map(_ilog2, _slot_sizes(n, q)))
+    return _layout(n, q).k
 
 
 class PairTable:
@@ -124,7 +151,8 @@ class PairTable:
     arithmetic. pair(i) is the i-th, in lexicographic order, of the (q - 1)**2
     pairs (left, right) with left != 0 and right != left - 1, which keep the
     auxiliary bits around a reserved position independent of the choice there;
-    single(i) is the i-th value but q - 2. pairs and singles, built on access, list them all.
+    single(i), the i-th value but q - 2, is the right of pair((q - 2)(q - 1) + i),
+    whose left is q - 1. pairs and singles, built on access, list them all.
     Indices are checked like any residue, and pairs and values like any word over q."""
 
     def __init__(self, q: int):
@@ -132,6 +160,7 @@ class PairTable:
         self.pair_count = (q - 1) ** 2
         self.pair_bits = _ilog2(self.pair_count)  # message bits per constrained pair
         self.single_bits = _ilog2(q - 1)  # message bits in the position-5 symbol
+        self._single_offset = (q - 2) * (q - 1)  # the index of pair (q - 1, 0) = single(0)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -144,13 +173,14 @@ class PairTable:
     def pair(self, i: int) -> tuple[int, int]:
         if type(i) is not int or not 0 <= i < self.pair_count:  # plain ints in range skip the call
             i = check_residue(i, "pair index", self.pair_count)
-        left, right = divmod(i, self.q - 1)  # left is the pair's left - 1
-        return left + 1, right + (right >= left)
+        # pair i is divmod(v, q) for v = left * q + right; below v lie q + 1 + i // q
+        # values that are no pair: left 0, and (x, x - 1) for x = 1 .. i // q + 1
+        return divmod(i + i // self.q + self.q + 1, self.q)
 
     def single(self, i: int) -> int:
         if type(i) is not int or not 0 <= i < self.q - 1:  # as in pair
             i = check_residue(i, "position-5 index", self.q - 1)
-        return i + (i >= self.q - 2)
+        return self.pair(self._single_offset + i)[1]
 
     def pair_index(self, pair: tuple[int, int]) -> int:
         q = self.q
@@ -165,7 +195,7 @@ class PairTable:
         (v,) = check_word((value,), q)
         if v == q - 2:
             raise ParameterError(f"{v} is not a valid position-5 value for q={q}")
-        return v - (v == q - 1)
+        return self.pair_index((q - 1, v)) - self._single_offset
 
 
 # typed: once pair_table(np.int64(3)) is cached, pair_table(3.0) would hit it.
@@ -188,41 +218,29 @@ class QaryVtParams(CodeParams):
     def __post_init__(self) -> None:
         for name in ("n", "q"):
             object.__setattr__(self, name, check_int(getattr(self, name), name))
-        _code_shape(self.n, self.q)
+        object.__setattr__(self, "_layout", _layout(self.n, self.q))
         object.__setattr__(self, "a", check_residue(self.a, "a", self.n))
         object.__setattr__(self, "b", check_residue(self.b, "b", self.q))
 
     @property
     def t(self) -> int:
         """Number of reserved powers of two: ceil(log2(n))."""
-        return (self.n - 1).bit_length()
+        return self._layout.t
 
     @cached_property
     def k(self) -> int:
         """Message bits per codeword (0 for the smallest shapes)."""
-        return message_length(self.n, self.q)
+        return self._layout.k
 
     @cached_property
     def pair_positions(self) -> tuple[tuple[int, int], ...]:
         """Odd neighbours (2^j - 1, 2^j + 1) of each reserved 2^j, j >= 2."""
-        return tuple(((1 << j) - 1, (1 << j) + 1) for j in range(2, self.t))
+        return tuple(sorted(slot[:2] for slot in self._layout.slots))
 
     @cached_property
     def free_positions(self) -> Word:
         """Positions that carry plain base-q message symbols."""
-        return tuple(chain.from_iterable(self._free_runs))
-
-    @cached_property
-    def _free_runs(self) -> tuple[range, ...]:
-        """The free positions in runs: from each reserved block 2^j - 1 ..
-        2^j + 1 (j >= 2) up to the next block, or to the end of the word."""
-        stops = [(2 << j) - 1 for j in range(2, self.t - 1)] + [self.n]
-        return tuple(range((1 << j) + 2, stop) for j, stop in enumerate(stops, 2))
-
-    @cached_property
-    def _free_bits(self) -> int:
-        """Message bits in the free block: floor(log2(q ** free count))."""
-        return _ilog2(_slot_sizes(self.n, self.q)[0])
+        return tuple(chain.from_iterable(map(range(self.n).__getitem__, self._layout.free_runs)))
 
     @cached_property
     def _unsupported(self) -> str | None:
@@ -235,35 +253,21 @@ class QaryVtParams(CodeParams):
         return _complete_codeword(_place_message(bits, self), self)
 
     def _read(self, w: Word) -> Word:
-        q = self.q
-        table = pair_table(q)
-        free = chain.from_iterable(w[run.start : run.stop] for run in self._free_runs)
-        text = _digits_text(free, q, self._free_bits)
+        q, layout = self.q, self._layout
+        free = chain.from_iterable(map(w.__getitem__, layout.free_runs))
+        text = _digits_text(free, q, layout.free_bits)
         if text is None:
             raise ExtractionError("free-position symbols exceed the message range")
-        # pair_index and single_index, unchecked: the word is range-checked
-        q1, pair_bits, single_bits = q - 1, table.pair_bits, table.single_bits
-        slots = 1  # the pair and position-5 indices in turn, under a lead 1
-        for left, right in self.pair_positions[1:]:
+        q1 = q - 1
+        slots = 1  # the slot values in turn, under a lead 1
+        for left, right, first, width in layout.slots:
             x, y = w[left], w[right]
-            if x == 0 or y == x - 1:
-                raise ExtractionError(f"positions {left}, {right} do not hold a constrained pair")
-            idx = (x - 1) * q1 + y - (y >= x)
-            if idx >> pair_bits:
-                raise ExtractionError(f"pair at positions {left}, {right} exceeds the message range")
-            slots = slots << pair_bits | idx
-        if q == 3:
-            if w[5] != 2 or w[3] not in (1, 2):
-                raise ExtractionError("positions 3 and 5 do not match the encoder layout")
-        else:
-            if w[3] != q1:
-                raise ExtractionError(f"position 3 must hold {q1}, got {w[3]}")
-            if w[5] == q - 2:
-                raise ExtractionError(f"position 5 holds the excluded value {w[5]}")
-            idx = w[5] - (w[5] == q1)
-            if idx >> single_bits:
-                raise ExtractionError("position 5 exceeds the message range")
-            slots = slots << single_bits | idx
+            v = (x - 1) * q1 + y - (y >= x) - first  # pair_index, unchecked: w is range-checked
+            if x == 0 or y == x - 1 or v >> width:  # v >> width is -1 below the slot's first
+                if q == 3 and (left, x, y) == (3, 1, 2):  # _finish_prefix_q3 may lower c[3] to 1
+                    continue
+                raise ExtractionError(f"positions {left}, {right} hold no value of their slot")
+            slots = slots << width | v
         bits = _text_bits(text + format(slots, "b")[1:].encode())
         if len(bits) != self.k:
             raise CodecError(f"extracted {len(bits)} message bits, expected {self.k}")
@@ -353,29 +357,21 @@ def _arrange_prefix(triple: tuple[int, int, int], alpha1: int, alpha2: int) -> t
 
 
 def _place_message(bits: Word, params: QaryVtParams) -> list:
-    """Spread message bits over the free, pair, and position-5 slots.
+    """Spread message bits over the free block and the constrained slots.
 
     Returns the word as a list with positions 0..2 and the reserved powers of
     two still unset (None).
     """
-    q = params.q
-    table = pair_table(q)
-    pair, pair_bits = table.pair, table.pair_bits
-    c: list = [None] * params.n
+    layout, pair = params._layout, pair_table(params.q).pair
+    c: list = [None] * layout.n
     text = _bit_text(bits)
-    used = params._free_bits
-    digits = iter(_text_digits(text[:used], q, len(params.free_positions)))
-    for run in params._free_runs:
-        c[run.start : run.stop] = islice(digits, len(run))
-    for left, right in params.pair_positions[1:]:
-        c[left], c[right] = pair(int(text[used : used + pair_bits], 2))
-        used += pair_bits
-    if q == 3:
-        c[3], c[5] = 2, 2
-    else:
-        c[3] = q - 1
-        c[5] = table.single(int(text[used : used + table.single_bits], 2))
-        used += table.single_bits
+    used = layout.free_bits
+    digits = iter(_text_digits(text[:used], layout.q, len(params.free_positions)))
+    for run in layout.free_runs:
+        c[run] = islice(digits, run.stop - run.start)
+    for left, right, first, width in layout.slots:
+        c[left], c[right] = pair(first + int(text[used : used + width] or b"0", 2))  # 0 bits read 0
+        used += width
     if used != len(bits):
         raise CodecError(f"message layout used {used} of {len(bits)} bits")
     return c

@@ -28,7 +28,9 @@ kept so the differential tests can check the fast versions against them.
   the same exception types; its conversions are unchecked, so they are
   compared on valid input only.
 - The paper's closed form of the constructive q-ary size lower bound, which
-  the library computes as the product of the encoder's slot sizes.
+  the library computes as the product of the encoder's slot sizes, and the
+  reserved, pair and free positions, derived from n alone, which the library
+  reads off its cached layout.
 - The word checks the library used before its one-pass range check: a type
   pass, then min for negative symbols and max for out-of-range ones. The
   library must return the same tuple or raise the same message.
@@ -59,9 +61,9 @@ from vtcodes.errors import (
 from vtcodes.qary import (
     QaryVtParams,
     _arrange_prefix,
-    _code_shape,
     _finish_prefix_q3,
     _ilog2,
+    _layout,
     _step6_triple,
 )
 from vtcodes.words import (
@@ -266,17 +268,32 @@ def qary_census_dp(n: int, q: int) -> tuple[tuple[int, ...], ...]:
 def qary_size_lower_bound(n: int, q: int) -> int:
     """(q-1)^(2t-5) * q^(n-3t+3) for q >= 4 and 2^(2(t-3)) * 3^(n-3t+3) for
     q = 3, with t = ceil(log2 n)."""
-    n, q, t = _code_shape(n, q)
+    _layout(n, q)  # the library's refusal of shapes the encoder cannot lay out
+    n, q = int(n), int(q)
+    t = len(dyadic_positions(n))
     free = n - 3 * t + 3
     if q == 3:
         return (1 << (2 * (t - 3))) * 3**free
     return (q - 1) ** (2 * t - 5) * q**free
 
 
+def dyadic_positions(n: int) -> Word:
+    """The reserved powers of two below n: 1, 2, 4, .., t of them."""
+    out = []
+    while 1 << len(out) < n:
+        out.append(1 << len(out))
+    return tuple(out)
+
+
+def pair_positions(n: int) -> tuple[tuple[int, int], ...]:
+    """The odd neighbours (p - 1, p + 1) of each reserved power of two p >= 4."""
+    return tuple((p - 1, p + 1) for p in dyadic_positions(n) if p >= 4)
+
+
 def free_positions(params: QaryVtParams) -> Word:
     """Positions that carry plain base-q message symbols."""
-    reserved = set(params.dyadic_positions)
-    for left, right in params.pair_positions:
+    reserved = set(dyadic_positions(params.n))
+    for left, right in pair_positions(params.n):
         reserved.add(left)
         reserved.add(right)
     return tuple(p for p in range(1, params.n) if p not in reserved)
@@ -327,7 +344,7 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
     pairs, singles = pair_values(q), single_values(q)
     pair_bits, single_bits = _ilog2(len(pairs)), _ilog2(len(singles))
     c: list = [None] * params.n
-    free = params.free_positions
+    free = free_positions(params)
     used = 0
     if free:
         width = _ilog2(q ** len(free))
@@ -335,7 +352,7 @@ def _place_message(bits: Word, params: QaryVtParams) -> list:
         used = width
         for pos, sym in zip(free, int_to_digits(value, q, len(free))):
             c[pos] = sym
-    for left, right in params.pair_positions[1:]:
+    for left, right in pair_positions(params.n)[1:]:
         idx = bits_to_int(bits[used : used + pair_bits])
         used += pair_bits
         c[left], c[right] = pairs[idx]
@@ -359,7 +376,7 @@ def _prefill_aux(c: Sequence, params: QaryVtParams) -> list:
     it, which stays valid however the reserved symbol is later chosen.
     """
     n = params.n
-    dyadic = set(params.dyadic_positions)
+    dyadic = set(dyadic_positions(params.n))
     aux = [0] * n  # index i holds the bit comparing positions i and i-1
     for i in range(1, n):
         if i in dyadic:
@@ -379,9 +396,9 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
     n, q, a, b = params.n, params.q, params.a, params.b
     aux = _prefill_aux(c, params)
     deficit = (a - _checksum(aux[1:], n)) % n
-    for j, pos in enumerate(params.dyadic_positions):
+    for j, pos in enumerate(dyadic_positions(params.n)):
         aux[pos] = (deficit >> j) & 1
-    for pos in params.dyadic_positions[2:]:
+    for pos in dyadic_positions(params.n)[2:]:
         c[pos] = c[pos - 1] if aux[pos] else c[pos - 1] - 1
     if q == 3:
         _finish_prefix_q3(c, aux, b)
@@ -422,14 +439,14 @@ def extract_q(word: Iterable[int], params: QaryVtParams) -> Word:
     pairs, singles = pair_values(q), single_values(q)
     pair_bits, single_bits = _ilog2(len(pairs)), _ilog2(len(singles))
     bits: list = []
-    free = params.free_positions
+    free = free_positions(params)
     if free:
         width = _ilog2(q ** len(free))
         value = digits_to_int([w[p] for p in free], q)
         if value >> width:
             raise ExtractionError("free-position symbols exceed the message range")
         bits += int_to_bits(value, width)
-    for left, right in params.pair_positions[1:]:
+    for left, right in pair_positions(params.n)[1:]:
         try:
             idx = pairs.index((w[left], w[right]))
         except ValueError as exc:

@@ -72,10 +72,13 @@ def test_extract_matches_the_oracle_on_every_codeword(n, q):
 
 
 def test_free_positions_match_the_oracle():
-    for n in [*range(6, 600), 1023, 1024, 1026, 2048, 4000, 4096]:
+    # the layout is cached per (n, q); the oracle derives the positions from n
+    for n, q in itertools.product([*range(6, 600), 1023, 1024, 1026, 2048, 4000, 4096], [3, 4, 8]):
         if supported(n):
-            p = QaryVtParams(n, 4, 0, 0)
+            p = QaryVtParams(n, q, 0, 0)
             assert p.free_positions == oracle.free_positions(p), n
+            assert p.pair_positions == oracle.pair_positions(n), n
+            assert p.dyadic_positions == oracle.dyadic_positions(n), n
 
 
 def shapes(alphabets):
@@ -180,7 +183,7 @@ def test_round_trip_past_the_int_string_limit(q):
     word = encode(message, p)
     free = tuple(word[i] for i in p.free_positions)
     assert len(free) > 4300
-    value = oracle.bits_to_int(message[: p._free_bits])
+    value = oracle.bits_to_int(message[: p._layout.free_bits])
     assert free == oracle.int_to_digits(value, q, len(free))
     assert p.is_member(word)
     assert extract(word, p) == message

@@ -133,8 +133,10 @@ def test_integer_arguments_accept_numpy_integers(call, args):
 def test_integer_arguments_reject_non_integers(call, args, bad):
     call(*args)  # warm any cache first, so a cache hit cannot mask the check
     for i in range(len(args)):
-        with pytest.raises(ParameterError):
-            call(*args[:i], bad, *args[i + 1 :])
+        # the warmed value as a float too: a cache keyed by value alone would answer it
+        for value in (bad, float(args[i]), np.float64(args[i])):
+            with pytest.raises(ParameterError):
+                call(*args[:i], value, *args[i + 1 :])
 
 
 def test_word_symbols_accept_numpy_integers():

@@ -1,0 +1,52 @@
+"""Public calls stay within a + b * log2(n) interpreter lines.
+
+The per-symbol work of encode, extract, correct and the word check runs in
+builtins, so the library's own Python lines grow with log2(n) only: one
+iteration per reserved block, lane level or divide-and-conquer split. A
+Python loop over symbols, or over a fixed number of symbols, would add
+thousands of lines at n = 16384. The budgets leave room for the line events
+of other Python versions (3.10 to 3.12), so they check growth, not exact
+counts. Alphabets other than powers of two convert their free block a few
+digits per loop iteration and are not covered here.
+"""
+
+import math
+import random
+
+import pytest
+
+from steps import line_events
+from vtcodes import BinaryVtParams, QaryVtParams
+from vtcodes.words import check_word
+
+# (a, b) per call; at q = 4 and 8 the counts read about 145 / 80 / 85 / 12 at
+# n = 64 and 270 / 130 / 115 / 12 at n = 16384 (CPython 3.11).
+BUDGETS = {
+    "encode": (90, 25),
+    "extract": (60, 12),
+    "correct deletion": (90, 6),
+    "correct insertion": (90, 6),
+    "check_word": (24, 0),
+}
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096, 16384])
+def test_public_calls_stay_within_log_budgets(n, q):
+    p = BinaryVtParams(n, n // 3) if q == 2 else QaryVtParams(n, q, n // 3, q // 2)
+    rng = random.Random(n * q)
+    message = tuple(rng.randrange(2) for _ in range(p.k))
+    word = p.encode(message)
+    i, j = rng.randrange(n), rng.randrange(n + 1)
+    calls = {
+        "encode": (p.encode, message),
+        "extract": (p.extract, word),
+        "correct deletion": (p.correct, word[:i] + word[i + 1 :]),
+        "correct insertion": (p.correct, word[:j] + (rng.randrange(q),) + word[j:]),
+        "check_word": (check_word, word, q),
+    }
+    for name, (call, *args) in calls.items():
+        call(*args)  # first calls build per-length tables and cached properties
+        count = line_events(call, *args)
+        a, b = BUDGETS[name]
+        assert 0 < count <= a + b * math.log2(n), (name, count)
