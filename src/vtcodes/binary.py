@@ -22,7 +22,7 @@ from .words import (
     CodeParams,
     Word,
     _flag_checksum,
-    check_bits,
+    _word,
     check_int,
     check_params,
     check_residue,
@@ -32,12 +32,12 @@ from .words import (
 
 def _checksum(bits: Sequence[int], modulus: int) -> int:
     """sum(i * s_i) mod modulus over 0/1 bits, by the lane kernel in words."""
-    return _flag_checksum(int.from_bytes(bytearray(bits), "little"), len(bits)) % modulus
+    return _flag_checksum(int.from_bytes(bits, "little"), len(bits)) % modulus
 
 
 def syndrome(word: Iterable[int]) -> int:
     """Weighted checksum sum(i * s_i) mod (n + 1) of a non-empty binary word."""
-    bits = check_bits(word)
+    bits = _word(word, 2)
     if not bits:
         raise ParameterError("word must be non-empty")
     return _checksum(bits, len(bits) + 1)
@@ -49,15 +49,11 @@ class BinaryVtParams(CodeParams):
 
     n: int
     a: int
+    q = 2  # the alphabet size; not a field, so equality and hashing see n and a only
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_int(self.n, "n", 1))
         object.__setattr__(self, "a", check_residue(self.a, "a", self.n + 1))
-
-    @property
-    def q(self) -> int:
-        """Alphabet size, always 2."""
-        return 2
 
     @property
     def t(self) -> int:
@@ -83,27 +79,29 @@ class BinaryVtParams(CodeParams):
         bit 2^j - j - 1."""
         return tuple(slice(1 << j, min((2 << j) - 1, self.n)) for j in range(1, self.t))
 
-    def _check(self, word: Iterable[int]) -> Word:
-        return check_bits(word)
+    @cached_property
+    def _bit_runs(self) -> tuple[slice, ...]:
+        """The message bits of each run of _message_runs, as message slices."""
+        runs = enumerate(self._message_runs, 1)
+        return tuple(slice(run.start - j - 1, run.stop - j - 1) for j, run in runs)
 
-    def _member(self, bits: Word) -> bool:
+    def _member(self, bits: Sequence[int]) -> bool:
         return _checksum(bits, self.n + 1) == self.a
 
-    def _encode(self, bits: Word) -> Word:
-        word = [0] * self.n
-        for j, run in enumerate(self._message_runs, 1):
-            word[run] = bits[run.start - j - 1 : run.stop - j - 1]
+    def _encode(self, bits: Sequence[int]) -> bytes:
+        # the zeros that join the runs are the dyadic positions; the two empty
+        # parts in front put positions 1 and 2 there
+        word = bytearray(b"\0".join([b"", b"", *map(bytes(bits).__getitem__, self._bit_runs)]))
         deficit = (self.a - _checksum(word, self.n + 1)) % (self.n + 1)
         for j, pos in enumerate(self.dyadic_positions):
             word[pos - 1] = (deficit >> j) & 1
-        return tuple(word)
+        return bytes(word)
 
-    def _read(self, bits: Word) -> Word:
-        # the runs double in length, so the joins copy about 2k bits in all
-        return sum(map(bits.__getitem__, self._message_runs), ())
+    def _read(self, bits: Sequence[int]) -> bytes:
+        return b"".join(map(bytes(bits).__getitem__, self._message_runs))
 
-    def _restore(self, received: Word) -> tuple | None:
-        bits = bytearray(received)  # one pass over the tuple; _checksum copies the buffer
+    def _restore(self, received: Sequence[int]) -> tuple | None:
+        bits = bytes(received)  # the word itself when the boundary handed over bytes
         return _levenshtein_restore(bits, self.n, self.a, _checksum(bits, self.n + 1))
 
 

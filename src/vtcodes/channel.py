@@ -12,9 +12,11 @@ the shared codec flow (words.CodeParams: _encode, _correct and _read)
 and words._apply, the edit primitive apply_channel and the decoders share,
 which the public calls reach after their one validation.
 _correct returns only members of the code, so the message is read straight
-from its output, without extract's second membership pass.
-Each trial's event is drawn as plain fields; a ChannelEvent, which checks
-its fields, is built only for a trial that fails.
+from its output, without extract's second membership pass. Messages are
+drawn, compared and decoded as bytes, and every word stays in the cores'
+word type (see words._word) from encoding to extraction. Each trial's event is drawn as
+plain fields; a ChannelEvent, which checks its fields, and a tuple of the
+message are built only for a trial that fails.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
     failures: list[TrialFailure] = []
     for i in range(trials):
         rng = random.Random((seed + i) * (seed + i + 1) // 2 + i)
-        message = _text_bits(format(rng.getrandbits(k), f"0{k}b").encode()) if k else ()
+        message = _text_bits(format(rng.getrandbits(k), f"0{k}b").encode()) if k else b""
         kind, position, symbol = channel_kind, None, None
         if kind == "mixed":
             kind = "insertion" if rng.getrandbits(1) else "deletion"
@@ -155,7 +157,8 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
                 successes += 1
                 continue
             reason = "extracted message differs"
-        failures.append(TrialFailure(i, message, ChannelEvent(kind, position, symbol), reason))
+        event = ChannelEvent(kind, position, symbol)
+        failures.append(TrialFailure(i, tuple(message), event, reason))
     wall = time.perf_counter() - start
     return TrialReport(
         params=params,

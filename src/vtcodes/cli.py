@@ -98,12 +98,13 @@ def _cmd_simulate(args):
 
 def _cmd_tables(args):
     table = pair_table(args.q)
-    payload = {  # pairs and singles are built on access, so each is read once
+    first, count = table.position5  # the values the encoder puts at position 5
+    payload = {  # pairs are built on access, so they are read once
         "q": table.q,
         "pair_bits": table.pair_bits,
         "single_bits": table.single_bits,
         "pairs": [list(p) for p in table.pairs],
-        "singles": list(table.singles),
+        "singles": [table.pair(first + i)[1] for i in range(count)],
     }
     lines = [f"{key} = {payload[key]}" for key in ("q", "pair_bits", "single_bits")]
     lines += [f"pair {i} = {left} {right}" for i, (left, right) in enumerate(payload["pairs"])]

@@ -31,8 +31,9 @@ auxiliary sequence by the binary rule) to the shared words.CodeParams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, islice
+from functools import cached_property, lru_cache, reduce
+from itertools import chain
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .binary import _levenshtein_restore
@@ -47,10 +48,12 @@ from .words import (
     Word,
     _ascent_flags,
     _bit_text,
+    _checked,
     _digits_text,
     _flag_checksum,
     _text_bits,
     _text_digits,
+    _word,
     check_int,
     check_params,
     check_residue,
@@ -64,16 +67,17 @@ def aux_sequence(word: Iterable[int]) -> Word:
     Bit i (for i = 1 .. n-1, reported 0-indexed) is 1 exactly when the symbol
     in position i is >= its left neighbour.
     """
-    w = check_word(word)
-    if len(w) < 2:
-        raise ParameterError(f"word must have length at least 2, got {len(w)}")
+    symbols, buf = _checked(word, None)
+    if len(symbols) < 2:
+        raise ParameterError(f"word must have length at least 2, got {len(symbols)}")
+    w = symbols if buf is None else buf  # the lane kernel reads a byte buffer directly
     return _ascents(w, max(w) + 1)
 
 
 def code_signature(word: Iterable[int], q: int) -> tuple[int, int]:
     """(auxiliary checksum mod n, symbol sum mod q) of a word of length n >= 2."""
     q = check_int(q, "alphabet size")
-    w = check_word(word, q)
+    w = _word(word, q)
     n = len(w)
     if n < 2:
         raise ParameterError(f"word must have length at least 2, got {n}")
@@ -128,10 +132,7 @@ def _layout(n: int, q: int) -> _Layout:
     blocks = [1 << j for j in range(2, t)]
     free_runs = tuple(map(slice, [p + 2 for p in blocks], [p - 1 for p in blocks[1:]] + [n]))
     table = pair_table(q)
-    if q == 3:  # c[3] and c[5] pinned to 2 (see _finish_prefix_q3)
-        first5, size5 = table.pair_index((2, 2)), 1
-    else:
-        first5, size5 = table._single_offset, q - 1
+    first5, size5 = table.position5
     sizes = (q ** (n - 3 * t + 3),) + (table.pair_count,) * (t - 3) + (size5,)
     bits = tuple(map(_ilog2, sizes))
     slots = tuple((p - 1, p + 1, 0, bits[1]) for p in blocks[1:]) + ((3, 5, first5, bits[-1]),)
@@ -153,14 +154,19 @@ class PairTable:
     auxiliary bits around a reserved position independent of the choice there;
     single(i), the i-th value but q - 2, is the right of pair((q - 2)(q - 1) + i),
     whose left is q - 1. pairs and singles, built on access, list them all.
-    Indices are checked like any residue, and pairs and values like any word over q."""
+    The encoder's position 5 takes pair(first + i)[1] for i < count, with
+    (first, count) = position5: the singles, except that q = 3 pins positions
+    3 and 5 to pair 3, (2, 2) (see _finish_prefix_q3); single_bits counts
+    the message bits it carries. Indices are checked like any residue, and
+    pairs and values like any word over q."""
 
     def __init__(self, q: int):
         self.q = q = check_int(q, "alphabet size", 3)
         self.pair_count = (q - 1) ** 2
         self.pair_bits = _ilog2(self.pair_count)  # message bits per constrained pair
-        self.single_bits = _ilog2(q - 1)  # message bits in the position-5 symbol
         self._single_offset = (q - 2) * (q - 1)  # the index of pair (q - 1, 0) = single(0)
+        self.position5 = (self.pair_index((2, 2)), 1) if q == 3 else (self._single_offset, q - 1)
+        self.single_bits = _ilog2(self.position5[1])  # message bits in the position-5 symbol
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -246,15 +252,15 @@ class QaryVtParams(CodeParams):
     def _unsupported(self) -> str | None:
         return None if self.k else f"(n={self.n}, q={self.q}) carries no message bits"
 
-    def _member(self, w: Word) -> bool:
+    def _member(self, w: Sequence[int]) -> bool:
         return _matches_code(w, self.n, self.q, self.a, self.b)
 
-    def _encode(self, bits: Word) -> Word:
+    def _encode(self, bits: Sequence[int]) -> bytes | Word:
         return _complete_codeword(_place_message(bits, self), self)
 
-    def _read(self, w: Word) -> Word:
+    def _read(self, w: Sequence[int]) -> bytes | bytearray:
         q, layout = self.q, self._layout
-        free = chain.from_iterable(map(w.__getitem__, layout.free_runs))
+        free = reduce(add, map(w.__getitem__, layout.free_runs), w[:0])
         text = _digits_text(free, q, layout.free_bits)
         if text is None:
             raise ExtractionError("free-position symbols exceed the message range")
@@ -273,7 +279,7 @@ class QaryVtParams(CodeParams):
             raise CodecError(f"extracted {len(bits)} message bits, expected {self.k}")
         return bits
 
-    def _restore(self, r: Word) -> tuple | None:
+    def _restore(self, r: Sequence[int]) -> tuple | None:
         """Tenengolts' decoder: the edit of r that lands on a word with
         auxiliary checksum a (mod n) and symbol sum b (mod q), as words._apply's
         fields with the leftmost position that gives that word, or None.
@@ -356,19 +362,21 @@ def _arrange_prefix(triple: tuple[int, int, int], alpha1: int, alpha2: int) -> t
     return (z, y, x)
 
 
-def _place_message(bits: Word, params: QaryVtParams) -> list:
+def _place_message(bits: Sequence[int], params: QaryVtParams) -> bytearray | list:
     """Spread message bits over the free block and the constrained slots.
 
-    Returns the word as a list with positions 0..2 and the reserved powers of
-    two still unset (None).
+    Returns the word to fill in: a bytearray, or a list when q > 256, with
+    positions 0..2 and the reserved powers of two still 0.
     """
     layout, pair = params._layout, pair_table(params.q).pair
-    c: list = [None] * layout.n
+    c = bytearray(layout.n) if layout.q <= 256 else [0] * layout.n
     text = _bit_text(bits)
     used = layout.free_bits
-    digits = iter(_text_digits(text[:used], layout.q, len(params.free_positions)))
+    digits = _text_digits(text[:used], layout.q, len(params.free_positions))
+    at = 0  # the digits placed so far
     for run in layout.free_runs:
-        c[run] = islice(digits, run.stop - run.start)
+        c[run] = digits[at : at + run.stop - run.start]
+        at += run.stop - run.start
     for left, right, first, width in layout.slots:
         c[left], c[right] = pair(first + int(text[used : used + width] or b"0", 2))  # 0 bits read 0
         used += width
@@ -388,7 +396,7 @@ def _prefill_aux(c: Sequence, params: QaryVtParams) -> bytearray:
     return bytearray(b"\0\0\0\1") + _ascent_flags(tail, params.q).to_bytes(len(tail) - 1, "little")
 
 
-def _finish_prefix_q3(c: list, aux: bytearray, b: int) -> None:
+def _finish_prefix_q3(c: bytearray | list, aux: bytearray, b: int) -> None:
     """Choose the first three symbols for alphabet 3.
 
     Over {0,1,2} no three distinct values exist, so the prefix works with
@@ -410,9 +418,10 @@ def _finish_prefix_q3(c: list, aux: bytearray, b: int) -> None:
     c[0] = (w - c[1] - c[2]) % 3
 
 
-def _complete_codeword(c: list, params: QaryVtParams) -> Word:
+def _complete_codeword(c: bytearray | list, params: QaryVtParams) -> bytes | Word:
     """Fill the reserved and prefix positions of a word whose message
-    positions are already set, landing it on the target residues."""
+    positions are already set, landing it on the target residues; the
+    codeword comes back as bytes for q <= 256 and as a tuple past that."""
     n, q, a, b = params.n, params.q, params.a, params.b
     aux = _prefill_aux(c, params)
     flags = int.from_bytes(aux, "little") >> 8  # aux[1:], lane i holding aux[i + 1]
@@ -426,7 +435,7 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
     else:
         w = (b - sum(c[3:])) % q
         c[0], c[1], c[2] = _arrange_prefix(_step6_triple(w, q), aux[1], aux[2])
-    word = tuple(c)
+    word = bytes(c) if q <= 256 else tuple(c)
     if not _matches_code(word, n, q, a, b):
         raise CodecError(f"encoder output misses the code (n={n}, q={q}, a={a}, b={b})")
     return word

@@ -6,11 +6,14 @@ sequence is a contiguous string of '0'/'1' characters with the lowest index
 leftmost; a q-ary word is a run of space-separated decimal symbols, which
 stays unambiguous for alphabets larger than ten.
 
-Words are validated once, at the public boundary, by check_word, the one
-word check (check_bits and check_symbols are its binary and alphabet-free
-spellings): one type pass and, when every symbol fits in a byte, one
-bytearray().translate() range pass at any alphabet, and the codecs hand the
-checked tuple to unchecked cores; CodeParams, the
+Words are validated once, at the public boundary, by one word check
+(check_word; check_bits and check_symbols are its binary and alphabet-free
+spellings): one type pass, which a bytes word skips, and, when every symbol
+fits in a byte, one bytearray().translate() range pass for alphabets below
+256 symbols. The codecs hand unchecked cores the bytes that pass builds
+(_word), or a tuple for alphabets past 256 symbols; the cores use only what
+bytes and tuples share, and the public calls turn a core's word into a
+tuple once. CodeParams, the
 base of both params classes, holds that codec flow once, rebuilding a
 corrected word with _apply, the edit primitive the channel uses too, and
 check_params keeps each family's module functions to that family's params. The block
@@ -76,61 +79,77 @@ def check_residue(value, name: str, modulus: int) -> int:
     return value
 
 
-def _int_symbols(word: Iterable[int]) -> Word:
-    """A word as a tuple of plain ints: numpy integers convert through
-    operator.index; bool, float and str symbols are refused, and so is a
-    word that is not iterable. A tuple of plain ints comes back as is."""
-    if isinstance(word, str):
-        raise ParameterError("expected a sequence of ints; use parse_symbols() for text")
-    try:
-        iter(word)  # a probe: an error raised inside the iterable propagates from tuple()
-    except TypeError:
-        raise ParameterError(f"expected a sequence of ints, got {word!r}") from None
-    out = tuple(word)
-    if set(map(type, out)) != {int}:
-        out = tuple(map(_as_int, out))
-    return out
-
-
 _BYTE_VALUES = bytes(range(256))
+
+
+def _checked(word: Iterable[int], q: int | None) -> tuple[Sequence[int], bytes | bytearray | None]:
+    """The one word check: (symbols, buffer) for a word over the alphabet
+    {0, .., q-1}, or of non-negative symbols when q is None. symbols is the
+    word as a tuple of plain ints (a tuple of plain ints is kept as is;
+    numpy integers convert through operator.index; bool, float and str
+    symbols, and a word that is not iterable, are refused), or the bytes or
+    bytearray given, which holds no bool and so skips that type pass. buffer
+    holds the same symbols as bytes when every one fits in a byte, and is
+    None otherwise.
+
+    A word of byte-sized symbols takes one C pass for the range in alphabets
+    below 256 symbols: bytearray() reads the tuple (faster than bytes() does), and
+    translate() deletes the alphabet's byte values (none for q <= 0), leaving
+    the out-of-range symbols in order. A word bytearray() refuses, which
+    holds a symbol outside 0..255, is checked with min/max, so every error
+    names the same first bad symbol either way.
+    """
+    if type(q) is not int and q is not None:
+        q = check_int(q, "alphabet size")
+    if type(word) is not tuple and isinstance(word, (bytes, bytearray, str)):
+        if isinstance(word, str):
+            parser = "parse_bitstring" if q == 2 else "parse_symbols"
+            raise ParameterError(f"expected a sequence of ints; use {parser}() for text")
+        out = buf = word
+    else:
+        try:
+            iter(word)  # a probe: an error raised inside the iterable propagates from tuple()
+        except TypeError:
+            raise ParameterError(f"expected a sequence of ints, got {word!r}") from None
+        out = tuple(word)
+        if set(map(type, out)) != {int}:
+            out = tuple(map(_as_int, out))
+        try:
+            buf = bytearray(out)
+        except ValueError:  # a symbol outside 0..255, so out is not empty
+            if min(out) < 0:
+                bad = next(s for s in out if s < 0)
+                raise ParameterError(f"symbols must be non-negative, got {bad}") from None
+            if q is not None and max(out) >= q:
+                bad = next(s for s in out if s >= q)
+                raise ParameterError(f"symbol {bad} out of range for alphabet size {q}") from None
+            return out, None
+    if q is not None and q < 256:  # every byte value lies in a larger alphabet
+        stray = buf.translate(None, _BYTE_VALUES[:q] if q > 0 else b"")
+        if stray:
+            raise ParameterError(f"symbol {stray[0]} out of range for alphabet size {q}")
+    return out, buf
 
 
 def check_word(word: Iterable[int], q: int | None = None) -> Word:
     """Validate a word over the alphabet {0, .., q-1}, or of non-negative
-    symbols when q is None, and return it as a tuple. numpy integers are
-    accepted; bool, float and str symbols are refused.
+    symbols when q is None, and return it as a tuple of plain ints. numpy
+    integers are accepted; bool, float and str symbols are refused."""
+    return tuple(_checked(word, q)[0])  # a tuple comes back as is
 
-    A word of byte-sized symbols takes one C pass for the range at any q:
-    bytearray() reads the tuple (faster than bytes() does), and translate()
-    deletes the alphabet's byte values (all of them for q None or q >= 256,
-    none for q <= 0), leaving the out-of-range symbols in order. A word
-    bytearray() refuses, which holds a symbol outside 0..255, is checked with
-    min/max, so every error names the same first bad symbol either way.
-    """
-    if type(q) is not int and q is not None:
-        q = check_int(q, "alphabet size")
-    out = _int_symbols(word)
-    try:
-        stray = bytearray(out).translate(None, _BYTE_VALUES[:q] if q is None or q > 0 else b"")
-    except ValueError:  # a symbol outside 0..255, so out is not empty
-        if min(out) < 0:
-            bad = next(s for s in out if s < 0)
-            raise ParameterError(f"symbols must be non-negative, got {bad}") from None
-        if q is not None and max(out) >= q:
-            bad = next(s for s in out if s >= q)
-            raise ParameterError(f"symbol {bad} out of range for alphabet size {q}") from None
-        return out
-    if stray:
-        raise ParameterError(f"symbol {stray[0]} out of range for alphabet size {q}")
-    return out
+
+def _word(word: Iterable[int], q: int) -> bytes | Word:
+    """A word over q checked as check_word checks it, in the cores' word
+    type: bytes when every symbol of the alphabet fits in a byte, q <= 256,
+    else a tuple of plain ints, which a decoder can insert any symbol into."""
+    out, buf = _checked(word, q)
+    return bytes(buf) if q <= 256 else tuple(out)
 
 
 check_symbols = check_word  # check_symbols(word) is check_word(word): any non-negative symbols
 
 
 def check_bits(bits: Iterable[int]) -> Word:
-    if isinstance(bits, str):
-        raise ParameterError("expected a sequence of ints; use parse_bitstring() for text")
     return check_word(bits, 2)
 
 
@@ -138,11 +157,11 @@ def parse_bitstring(text: str) -> Word:
     bad = set(text) - {"0", "1"}
     if bad:
         raise ParameterError(f"bit string may only contain 0 and 1, got {sorted(bad)}")
-    return _text_bits(text.encode())
+    return tuple(_text_bits(text.encode()))
 
 
 def format_bitstring(bits: Iterable[int]) -> str:
-    return _bit_text(check_bits(bits)).decode()
+    return _bit_text(_word(bits, 2)).decode()
 
 
 def parse_symbols(text: str) -> Word:
@@ -166,8 +185,8 @@ def _bit_text(bits: Sequence[int]) -> bytes:
     return bytes(bits).translate(_TO_TEXT)
 
 
-def _text_bits(text: bytes) -> Word:
-    return tuple(text.translate(_FROM_TEXT))
+def _text_bits(text: bytes) -> bytes:
+    return text.translate(_FROM_TEXT)
 
 
 # Divide and conquer stops at leaves of 64 chunks (about 500 bits), where the
@@ -251,16 +270,17 @@ def _digits_value(digits: Sequence[int], base: int) -> int:
     return value
 
 
-def _text_digits(text: bytes, base: int, width: int) -> Word:
-    """The width big-endian base-`base` digits of the value in '0'/'1' text,
-    which for base = 2**b <= 256 holds b * width bits: plane j is text[j::b]."""
+def _text_digits(text: bytes, base: int, width: int) -> bytes | Word:
+    """The width big-endian base-`base` digits of the value in '0'/'1' text:
+    bytes for base = 2**b <= 256, whose text holds b * width bits (plane j
+    is text[j::b]), and a tuple for other bases."""
     planes = _bit_planes(base)
     if not planes:
         return _value_digits(int(text or b"0", 2), base, width)
     b, total = len(planes), 0
     for j, (weight, _) in enumerate(planes):
         total += int.from_bytes(text[j::b].translate(weight), "big")
-    return tuple(total.to_bytes(width, "big"))  # no plane sum carries
+    return total.to_bytes(width, "big")  # no plane sum carries
 
 
 def _digits_text(digits: Iterable[int], base: int, bits: int) -> bytes | bytearray | None:
@@ -313,7 +333,7 @@ def _ascent_flags(w: Sequence[int], q: int) -> int:
     above."""
     if q > 128:  # no spare top bit: compare per symbol
         return int.from_bytes(bytes(map(operator.ge, w[1:], w)), "little")
-    x, high = int.from_bytes(bytearray(w), "little"), _LANES[len(w) - 1][0]
+    x, high = int.from_bytes(w, "little"), _LANES[len(w) - 1][0]
     return ((((x >> 8) | high) - x) & high) >> 7
 
 
@@ -328,9 +348,11 @@ def _flag_checksum(flags: int, m: int) -> int:
     return total
 
 
-def _apply(w: Word, kind: str, position: int | None, symbol: int | None) -> Word:
-    """One edit of a validated tuple, given as a checked ChannelEvent's fields:
-    the channel's edits and the decoders' undoing edits both go through here."""
+def _apply(w: Sequence[int], kind: str, position: int | None, symbol: int | None) -> Sequence[int]:
+    """One edit of a validated word, bytes or a tuple, given as a checked
+    ChannelEvent's fields, in the word's own type (so an inserted symbol
+    must fit it): the channel's edits and the decoders' undoing edits both
+    go through here."""
     if kind == "identity":
         return w
     if kind == "deletion":
@@ -339,35 +361,37 @@ def _apply(w: Word, kind: str, position: int | None, symbol: int | None) -> Word
         return w[:position] + w[position + 1 :]
     if position > len(w):
         raise ParameterError(f"insertion position {position} out of range 0..{len(w)}")
-    return w[:position] + (symbol,) + w[position:]
+    return w[:position] + type(w)((symbol,)) + w[position:]
 
 
 class CodeParams:
     """The codec flow both params classes inherit: the public methods validate
-    their word once and hand the tuple to the unchecked cores _encode,
-    _extract and _correct. Each family supplies n, q, k, t, _member (for a
-    checked word of length n), _encode, the positional reader _read, and
-    _restore, its decoder: the edit that undoes the channel's on a word of
-    length n - 1 or n + 1, as _apply's fields at the leftmost position that
-    gives its word, or None."""
+    their word once, hand it to the unchecked cores _encode, _extract and
+    _correct as bytes (a tuple for q > 256; see _word), and
+    turn the core's word into a tuple once. Each family supplies n, q, k, t,
+    _member (for a checked word of length n), _encode, the positional reader
+    _read, and _restore, its decoder: the edit that undoes the channel's on
+    a word of length n - 1 or n + 1, as _apply's fields at the leftmost
+    position that gives its word, or None. The cores take bytes or a tuple
+    and use only what the two share."""
 
     _unsupported: str | None = None  # why encode and extract refuse the shape
 
     def encode(self, message: Iterable[int]) -> Word:
         """Systematically encode k message bits into a codeword."""
-        return self._encode(self._message(message))
+        return tuple(self._encode(self._message(message)))
 
     def extract(self, word: Iterable[int]) -> Word:
         """Read the message bits back out of a codeword produced by encode()."""
-        return self._extract(self._check(word))
+        return tuple(self._extract(_word(word, self.q)))
 
     def correct(self, received: Iterable[int]) -> Word:
         """Recover the codeword from a word that suffered at most one edit."""
-        return self._correct(self._check(received))
+        return tuple(self._correct(_word(received, self.q)))
 
     def is_member(self, word: Iterable[int]) -> bool:
         """True when a word of the code's length is in the code."""
-        return self._member(self._sized(self._check(word)))
+        return self._member(self._sized(_word(word, self.q)))
 
     def to_dict(self) -> dict:
         """The code's parameters, q first: {"q": 2, "n": 10, "a": 3}."""
@@ -377,8 +401,8 @@ class CodeParams:
     def dyadic_positions(self) -> Word:
         return tuple(1 << j for j in range(self.t))
 
-    def _message(self, message: Iterable[int]) -> Word:
-        bits = check_bits(message)
+    def _message(self, message: Iterable[int]) -> bytes:
+        bits = _word(message, 2)
         if self._unsupported:
             raise UnsupportedParametersError(self._unsupported)
         if len(bits) != self.k:
@@ -387,10 +411,7 @@ class CodeParams:
             )
         return bits
 
-    def _check(self, word: Iterable[int]) -> Word:  # binary codes use check_bits
-        return check_word(word, self.q)
-
-    def _sized(self, word: Word) -> Word:
+    def _sized(self, word: Sequence[int]) -> Sequence[int]:
         if len(word) != self.n:
             raise ParameterError(f"expected a word of length {self.n}, got {len(word)}")
         return word

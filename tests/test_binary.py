@@ -198,10 +198,10 @@ def check_layout(n, rng):
         assert p.message_positions == oracle.message_positions(p)
         for message in [(0,) * p.k, (1,) * p.k, tuple(rng.getrandbits(1) for _ in range(p.k))]:
             word = p._encode(message)
-            assert word == oracle.encode_binary_word(message, p)
-            assert p._read(word) == oracle.read_binary_word(word, p) == message
+            assert tuple(word) == oracle.encode_binary_word(message, p)
+            assert tuple(p._read(word)) == oracle.read_binary_word(word, p) == message
         noise = tuple(rng.getrandbits(1) for _ in range(n))  # reading takes any word
-        assert p._read(noise) == oracle.read_binary_word(noise, p)
+        assert tuple(p._read(noise)) == oracle.read_binary_word(noise, p)
 
 
 def test_message_runs_match_the_per_position_layout():

@@ -138,7 +138,8 @@ def test_trial_draws_depend_only_on_seed_and_index(monkeypatch):
 
 TRIAL_CODES = [
     BinaryVtParams(16, 5),
-    BinaryVtParams(2, 0),
+    BinaryVtParams(2, 0),  # k = 0: the message is empty
+    BinaryVtParams(1, 1),
     QaryVtParams(16, 4, 0, 1),
     QaryVtParams(12, 3, 2, 1),
 ]

@@ -155,6 +155,23 @@ def test_tables_json(capsys):
     assert (payload["pair_bits"], payload["single_bits"]) == (3, 1)
 
 
+def test_tables_report_the_pinned_position_5_at_q3(capsys):
+    # the q = 3 encoder pins position 5 to 2 (pair 3) and carries no bits there
+    code, out = run(capsys, "tables", "--q", "3")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "q = 3", "pair_bits = 2", "single_bits = 0",
+        "pair 0 = 1 1", "pair 1 = 1 2", "pair 2 = 2 0", "pair 3 = 2 2",
+        "single 0 = 2",
+    ]
+    code, payload = run_json(capsys, "tables", "--q", "3")
+    assert code == EXIT_OK
+    assert payload == {
+        "q": 3, "pair_bits": 2, "single_bits": 0,
+        "pairs": [[1, 1], [1, 2], [2, 0], [2, 2]], "singles": [2],
+    }
+
+
 def test_validate_positions(capsys):
     code, out = run(capsys, "validate-positions", "--n", "7", "--positions", "1 2 4")
     assert code == EXIT_OK and out.strip() == "true"

@@ -6,8 +6,9 @@ iteration per reserved block, lane level or divide-and-conquer split. A
 Python loop over symbols, or over a fixed number of symbols, would add
 thousands of lines at n = 16384. The budgets leave room for the line events
 of other Python versions (3.10 to 3.12), so they check growth, not exact
-counts. Alphabets other than powers of two convert their free block a few
-digits per loop iteration and are not covered here.
+counts. Alphabets other than powers of two convert their free block c digits
+per loop iteration (q**c <= 256), so their encode and extract get explicit
+a + b * n / c budgets instead, which keep that cost visible.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 
 from steps import line_events
 from vtcodes import BinaryVtParams, QaryVtParams
-from vtcodes.words import check_word
+from vtcodes.words import _chunking, check_word
 
 # (a, b) per call; at q = 4 and 8 the counts read about 145 / 80 / 85 / 12 at
 # n = 64 and 270 / 130 / 115 / 12 at n = 16384 (CPython 3.11).
@@ -30,9 +31,18 @@ BUDGETS = {
 }
 
 
-@pytest.mark.parametrize("q", [2, 4, 8])
-@pytest.mark.parametrize("n", [64, 256, 1024, 4096, 16384])
-def test_public_calls_stay_within_log_budgets(n, q):
+# (a, b) per call for q = 3 and 5, with c = 5 and 3 digits per chunk: a + b * n / c
+# lines. At n = 4096 encode reads about 3.5 and extract 2.4 lines per chunk (CPython
+# 3.11); correct and check_word keep the log budgets above.
+CHUNK_BUDGETS = {
+    "encode": (200, 5),
+    "extract": (120, 4),
+}
+
+
+def counted_calls(n, q):
+    """Line events of each public call at (n, q), after a first untraced call
+    that builds per-length tables and cached properties."""
     p = BinaryVtParams(n, n // 3) if q == 2 else QaryVtParams(n, q, n // 3, q // 2)
     rng = random.Random(n * q)
     message = tuple(rng.randrange(2) for _ in range(p.k))
@@ -46,7 +56,26 @@ def test_public_calls_stay_within_log_budgets(n, q):
         "check_word": (check_word, word, q),
     }
     for name, (call, *args) in calls.items():
-        call(*args)  # first calls build per-length tables and cached properties
-        count = line_events(call, *args)
+        call(*args)
+        yield name, line_events(call, *args)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096, 16384])
+def test_public_calls_stay_within_log_budgets(n, q):
+    for name, count in counted_calls(n, q):
         a, b = BUDGETS[name]
         assert 0 < count <= a + b * math.log2(n), (name, count)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+def test_other_alphabets_stay_within_chunk_budgets(n, q):
+    chunks = n / _chunking(q)[0]
+    for name, count in counted_calls(n, q):
+        if name in CHUNK_BUDGETS:
+            a, b = CHUNK_BUDGETS[name]
+            assert 0 < count <= a + b * chunks, (name, count)
+        else:
+            a, b = BUDGETS[name]
+            assert 0 < count <= a + b * math.log2(n), (name, count)
