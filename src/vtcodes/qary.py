@@ -16,10 +16,11 @@ all read it. Position 5 is a pair slot there too, at (3, 5), by the identity
 single(i) = pair((q - 2)(q - 1) + i)[1]; q = 3 pins it to pair 3 = (2, 2),
 which carries no bits. Lengths with n - 1 a power of two would
 need position n for the layout and are rejected. Encoding and extraction do
-their per-symbol work in builtins: the free symbols move as slices of runs
-between the reserved blocks. The auxiliary bits and their weighted
-checksum come from the lane kernel in words (_ascent_flags and
-_flag_checksum), which membership, encoding and Tenengolts' decoder all use.
+their per-symbol work in builtins. The encoder builds one word: the free
+digits, each reserved block inserted between them, and a stand-in at each
+reserved 2^j, so that the lane kernel in words (_ascent_flags and
+_flag_checksum, which membership and Tenengolts' decoder use too) reads the
+checksum off the word itself; extraction gathers the free runs as slices.
 All of that is O(n). The free block moves to and from the message's bit text
 through words._text_digits and _digits_text: O(n) C passes for power-of-two
 q; other alphabets divide and conquer, and CPython's big-integer division
@@ -99,7 +100,7 @@ class _Layout(NamedTuple):
     """Where the systematic encoder puts a message at one (n, q) shape: n and q
     as plain ints; t reserved powers of two 2^j, j < t; and, in message order,
     the free block (the runs between the reserved blocks 2^j - 1 .. 2^j + 1,
-    j >= 2) with free_bits bits, then one record (left, right, first, bits)
+    j >= 2) of free_symbols symbols and free_bits bits, then one record (left, right, first, bits)
     per constrained slot, whose pair is pair_table(q).pair(first + v) for a
     bits-wide v: first 0 at 2^j -/+ 1 (j >= 3), then position 5 (see the module
     docstring). sizes counts the values of the free block and of each slot,
@@ -110,6 +111,7 @@ class _Layout(NamedTuple):
     q: int
     t: int
     free_runs: tuple[slice, ...]
+    free_symbols: int
     free_bits: int
     slots: tuple[tuple[int, int, int, int], ...]
     sizes: tuple[int, ...]
@@ -133,10 +135,11 @@ def _layout(n: int, q: int) -> _Layout:
     free_runs = tuple(map(slice, [p + 2 for p in blocks], [p - 1 for p in blocks[1:]] + [n]))
     table = pair_table(q)
     first5, size5 = table.position5
-    sizes = (q ** (n - 3 * t + 3),) + (table.pair_count,) * (t - 3) + (size5,)
+    free = n - 3 * t + 3  # all but 0..5 and three per block j >= 3
+    sizes = (q**free,) + (table.pair_count,) * (t - 3) + (size5,)
     bits = tuple(map(_ilog2, sizes))
     slots = tuple((p - 1, p + 1, 0, bits[1]) for p in blocks[1:]) + ((3, 5, first5, bits[-1]),)
-    return _Layout(n, q, t, free_runs, bits[0], slots, sizes, sum(bits))
+    return _Layout(n, q, t, free_runs, free, bits[0], slots, sizes, sum(bits))
 
 
 def message_length(n: int, q: int) -> int:
@@ -363,55 +366,44 @@ def _arrange_prefix(triple: tuple[int, int, int], alpha1: int, alpha2: int) -> t
 
 
 def _place_message(bits: Sequence[int], params: QaryVtParams) -> bytearray | list:
-    """Spread message bits over the free block and the constrained slots.
-
-    Returns the word to fill in: a bytearray, or a list when q > 256, with
-    positions 0..2 and the reserved powers of two still 0.
-    """
+    """Spread message bits over the free block and the constrained slots,
+    in one word: a bytearray, or a list when q > 256. The free digits follow
+    six zeros; each block 2^j - 1 .. 2^j + 1 (j >= 3) goes in as a copy of
+    positions 0..2, which stay 0, and gets its pair (left, right) around the
+    stand-in left - 1 at 2^j, as do 3, 4, 5."""
     layout, pair = params._layout, pair_table(params.q).pair
-    c = bytearray(layout.n) if layout.q <= 256 else [0] * layout.n
+    c = bytearray(6) if layout.q <= 256 else [0] * 6
     text = _bit_text(bits)
     used = layout.free_bits
-    digits = _text_digits(text[:used], layout.q, len(params.free_positions))
-    at = 0  # the digits placed so far
-    for run in layout.free_runs:
-        c[run] = digits[at : at + run.stop - run.start]
-        at += run.stop - run.start
+    c.extend(_text_digits(text[:used], layout.q, layout.free_symbols))
     for left, right, first, width in layout.slots:
-        c[left], c[right] = pair(first + int(text[used : used + width] or b"0", 2))  # 0 bits read 0
+        if left > 3:  # the blocks j >= 3 come first, ascending; (3, 5) lies in the six zeros
+            c[left:left] = c[:3]
+        x, y = pair(first + int(text[used : used + width] or b"0", 2))  # 0 bits read 0
+        c[left], c[left + 1], c[right] = x, x - 1, y
         used += width
     if used != len(bits):
         raise CodecError(f"message layout used {used} of {len(bits)} bits")
     return c
 
 
-def _prefill_aux(c: Sequence, params: QaryVtParams) -> bytearray:
-    """Auxiliary bits of a partially built word, one byte each, reserved positions
-    zeroed; byte i compares positions i and i-1. Position 3 holds the largest value, so
-    its bit is 1. Each reserved 2^j (j >= 2) gets the stand-in c[2^j - 1] - 1, whose bit is
-    0; no constrained pair has right = left - 1, so the next bit is as either choice gives."""
-    tail = c[3:]  # positions 0..2 are unset; so are the reserved ones
-    for pos in params.dyadic_positions[2:]:
-        tail[pos - 3] = c[pos - 1] - 1
-    return bytearray(b"\0\0\0\1") + _ascent_flags(tail, params.q).to_bytes(len(tail) - 1, "little")
-
-
-def _finish_prefix_q3(c: bytearray | list, aux: bytearray, b: int) -> None:
-    """Choose the first three symbols for alphabet 3.
+def _finish_prefix_q3(c: bytearray | list, alpha1: int, alpha2: int, b: int) -> None:
+    """Choose the first three symbols for alphabet 3 from auxiliary bits 1, 2.
 
     Over {0,1,2} no three distinct values exist, so the prefix works with
     repeats. When both leading auxiliary bits are 0 no prefix can descend
     below the pinned c_3 = 2; the bits at 1, 2, 3 are rewritten from 0,0,1 to
-    1,1,0 (same weight: 1 + 2 = 3) and c_3, c_4 are lowered to match.
+    1,1,0 (same weight: 1 + 2 = 3) and c_3, c_4 are both lowered by one,
+    which keeps bit 4.
     """
-    if aux[1] == 0 and aux[2] == 0:
-        aux[1], aux[2], aux[3] = 1, 1, 0
-        c[3] = 1
-        c[4] = c[3] if aux[4] else c[3] - 1
-    w = (b - sum(c[3:])) % 3
-    if aux[1] and aux[2]:
+    if not (alpha1 or alpha2):
+        alpha1 = alpha2 = 1
+        c[3] -= 1
+        c[4] -= 1
+    w = (b - sum(c)) % 3  # positions 0..2 are still 0
+    if alpha1 and alpha2:
         c[1], c[2] = 2, 2
-    elif aux[1]:
+    elif alpha1:
         c[1], c[2] = 2, 1
     else:
         c[1], c[2] = (0, 0, 1)[w], 2
@@ -419,22 +411,22 @@ def _finish_prefix_q3(c: bytearray | list, aux: bytearray, b: int) -> None:
 
 
 def _complete_codeword(c: bytearray | list, params: QaryVtParams) -> bytes | Word:
-    """Fill the reserved and prefix positions of a word whose message
-    positions are already set, landing it on the target residues; the
-    codeword comes back as bytes for q <= 256 and as a tuple past that."""
+    """Land a placed word on the target residues in place; the codeword
+    comes back as bytes for q <= 256 and as a tuple past that. Its own
+    auxiliary bits give the checksum: bits 1 and 2 wait for the deficit,
+    bit 3 is 1 (a pair's left above positions 0..2, still 0), and each
+    stand-in left - 1 at 2^j (j >= 2) reads 0 until it gains the deficit's
+    bit j. No pair has right = left - 1, so the next bit is the same either
+    way."""
     n, q, a, b = params.n, params.q, params.a, params.b
-    aux = _prefill_aux(c, params)
-    flags = int.from_bytes(aux, "little") >> 8  # aux[1:], lane i holding aux[i + 1]
-    deficit = (a - _flag_checksum(flags, n - 1)) % n
-    for j, pos in enumerate(params.dyadic_positions):
-        aux[pos] = (deficit >> j) & 1
-    for pos in params.dyadic_positions[2:]:
-        c[pos] = c[pos - 1] if aux[pos] else c[pos - 1] - 1
+    deficit = (a - _flag_checksum(_ascent_flags(c, q) & ~0xFFFF, n - 1)) % n
+    for j in range(2, params.t):
+        c[1 << j] += deficit >> j & 1
     if q == 3:
-        _finish_prefix_q3(c, aux, b)
+        _finish_prefix_q3(c, deficit & 1, deficit >> 1 & 1, b)
     else:
-        w = (b - sum(c[3:])) % q
-        c[0], c[1], c[2] = _arrange_prefix(_step6_triple(w, q), aux[1], aux[2])
+        triple = _step6_triple((b - sum(c)) % q, q)  # positions 0..2 are still 0
+        c[0], c[1], c[2] = _arrange_prefix(triple, deficit & 1, deficit >> 1 & 1)
     word = bytes(c) if q <= 256 else tuple(c)
     if not _matches_code(word, n, q, a, b):
         raise CodecError(f"encoder output misses the code (n={n}, q={q}, a={a}, b={b})")

@@ -23,10 +23,12 @@ kept so the differential tests can check the fast versions against them.
   message placement, auxiliary prefill, completion, encode, extract) and
   the bit and digit conversions. The layout takes its pair and position-5
   values from the lexicographic listings (pair_values, single_values) the
-  library stored before it computed them by index arithmetic. The library
-  must match them word for word, and its encoder and extractor must raise
-  the same exception types; its conversions are unchecked, so they are
-  compared on valid input only.
+  library stored before it computed them by index arithmetic, and its own
+  prefix rules (step 6's triple, its ordering, and the q = 3 prefix) as
+  searches over candidate values, so a fault in the library's prefix step
+  shows as a mismatch. The library must match them word for word, and its
+  encoder and extractor must raise the same exception types; its
+  conversions are unchecked, so they are compared on valid input only.
 - The paper's closed form of the constructive q-ary size lower bound, which
   the library computes as the product of the encoder's slot sizes, and the
   reserved, pair and free positions, derived from n alone, which the library
@@ -43,6 +45,7 @@ use them.
 """
 
 from functools import lru_cache
+from itertools import permutations, product
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -58,14 +61,7 @@ from vtcodes.errors import (
     ParameterError,
     UnsupportedParametersError,
 )
-from vtcodes.qary import (
-    QaryVtParams,
-    _arrange_prefix,
-    _finish_prefix_q3,
-    _ilog2,
-    _layout,
-    _step6_triple,
-)
+from vtcodes.qary import QaryVtParams, _ilog2, _layout
 from vtcodes.words import (
     Word,
     _as_int,
@@ -388,6 +384,52 @@ def _prefill_aux(c: Sequence, params: QaryVtParams) -> list:
         else:
             aux[i] = 1 if c[i] >= c[i - 1] else 0
     return aux
+
+
+def _step6_triple(w: int, q: int) -> tuple[int, int, int]:
+    """Step 6's three distinct values with sum w (mod q), ascending, for
+    q >= 4: 0, 1 and w - 1 (mod q), unless w - 1 is 0 or 1; then the top
+    symbol q - 1 and the two of 0, 1, 2 that add up to w + 1."""
+    third = (w - 1) % q
+    if third > 1:
+        return (0, 1, third)
+    for x in range(3):
+        for y in range(x + 1, 3):
+            if x + y == w + 1:
+                return (x, y, q - 1)
+    raise AssertionError(f"no step-6 triple for w={w}")
+
+
+def _arrange_prefix(triple: tuple[int, int, int], alpha1: int, alpha2: int) -> tuple[int, int, int]:
+    """The first ordering of three distinct values, in lexicographic order,
+    whose auxiliary bit 1 (positions 1 against 0) is alpha1 and bit 2
+    (positions 2 against 1) is alpha2."""
+    for c0, c1, c2 in sorted(permutations(triple)):
+        if (c1 >= c0) == alpha1 and (c2 >= c1) == alpha2:
+            return (c0, c1, c2)
+    raise AssertionError(f"no ordering of {triple} gives bits {alpha1}, {alpha2}")
+
+
+def _finish_prefix_q3(c: list, aux: list, b: int) -> None:
+    """The q = 3 prefix. When auxiliary bits 1 and 2 are both 0 no prefix
+    descends below c[3] = 2, so bits 1, 2, 3 become 1, 1, 0 (the same
+    weight), c[3] drops to 1 and c[4] follows bit 4. Of the prefixes over
+    {0, 1, 2} that realize bits 1, 2 and 3 and bring the symbol sum to
+    b (mod 3), the one with the largest c[2], then the largest c[1]."""
+    if aux[1] == 0 and aux[2] == 0:
+        aux[1], aux[2], aux[3] = 1, 1, 0
+        c[3] = 1
+        c[4] = c[3] if aux[4] else c[3] - 1
+    rest = sum(c[3:])
+    fits = [
+        (c2, c1, c0)
+        for c0, c1, c2 in product(range(3), repeat=3)
+        if (c1 >= c0) == aux[1]
+        and (c2 >= c1) == aux[2]
+        and (c[3] >= c2) == aux[3]
+        and (c0 + c1 + c2 + rest) % 3 == b
+    ]
+    c[2], c[1], c[0] = max(fits)
 
 
 def _complete_codeword(c: list, params: QaryVtParams) -> Word:

@@ -117,7 +117,7 @@ def test_criterion_05_qary_encoder_suite():
 
 
 def test_criterion_06_reference_walkthrough_intermediates():
-    from vtcodes.qary import _place_message, _prefill_aux
+    from vtcodes.qary import _place_message
 
     with criterion(6, "worked-example intermediates match on every number"):
         params = QaryVtParams(**REF_PARAMS)
@@ -126,9 +126,10 @@ def test_criterion_06_reference_walkthrough_intermediates():
         assert [c[i] for i in params.free_positions] == [6, 1, 0, 7, 2, 5, 0]
         assert (c[7], c[9]) == (3, 5)
         assert c[5] == 3
-        aux = _prefill_aux(c, params)
-        assert binary.syndrome(aux[1:]) == 12
-        assert (params.a - binary.syndrome(aux[1:])) % params.n == 4
+        assert (c[4], c[8]) == (6, 2)  # the stand-ins c[2^j - 1] - 1
+        aux = (0, 0) + aux_sequence(c)[2:]  # bits 1 and 2 wait for the deficit
+        assert binary.syndrome(aux) == 12
+        assert (params.a - binary.syndrome(aux)) % params.n == 4
         word = qary.encode(parse_bitstring(REF_MESSAGE), params)
         assert word == REF_WORD
         assert qary.is_member(REF_WORD, params)

@@ -24,7 +24,6 @@ from vtcodes.errors import ExtractionError
 from vtcodes.qary import (
     QaryVtParams,
     _place_message,
-    _prefill_aux,
     aux_sequence,
     code_signature,
     encode,
@@ -53,9 +52,14 @@ def test_every_message_matches_the_oracle(n, q):
     for a, b in {(0, 0), (1, q - 1), (n // 2, 1), (n - 1, q // 2)}:
         p = QaryVtParams(n, q, a, b)
         for message in itertools.product((0, 1), repeat=p.k):
-            c = _place_message(message, p)  # 0 where the oracle leaves None
-            assert list(c) == [s or 0 for s in oracle._place_message(message, p)]
-            assert list(_prefill_aux(c, p)) == oracle._prefill_aux(c, p)
+            c = _place_message(message, p)
+            placed = oracle._place_message(message, p)  # None where unset
+            assert len(c) == p.n
+            assert [None if s is None else x for x, s in zip(c, placed)] == placed
+            assert c[:3] == bytearray(3)
+            for pos in p.dyadic_positions[2:]:  # the stand-in at each reserved 2^j
+                assert c[pos] == c[pos - 1] - 1
+            assert [0, 0, 0, *aux_sequence(c)[2:]] == oracle._prefill_aux(c, p)
             word = encode(message, p)
             assert word == oracle.encode_q(message, p)
             assert extract(word, p) == oracle.extract_q(word, p) == message

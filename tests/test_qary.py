@@ -248,16 +248,18 @@ def test_encode_reference_word_from_canonical_message():
 
 
 def test_encode_stage_values_for_reference_word():
-    from vtcodes.qary import _place_message, _prefill_aux
+    from vtcodes.qary import _place_message
 
     p = QaryVtParams(**REF_PARAMS)
     c = _place_message(bits(REF_MESSAGE), p)
     assert [c[i] for i in p.free_positions] == [6, 1, 0, 7, 2, 5, 0]
     assert (c[3], c[5], c[7], c[9]) == (7, 3, 3, 5)
-    aux = _prefill_aux(c, p)
-    assert tuple(aux[1:]) == bits("001001001001010")
-    assert syndrome(aux[1:]) == 12
-    assert (p.a - syndrome(aux[1:])) % p.n == 4
+    assert (c[4], c[8]) == (6, 2)  # the stand-ins c[2^j - 1] - 1
+    assert list(c) == [0, 0, 0, 7, 6, 3, 6, 3, 2, 5, 1, 0, 7, 2, 5, 0]
+    aux = (0, 0) + aux_sequence(c)[2:]  # bits 1 and 2 wait for the deficit
+    assert aux == bits("001001001001010")
+    assert syndrome(aux) == 12
+    assert (p.a - syndrome(aux)) % p.n == 4
 
 
 def test_encode_known_words():
