@@ -1,10 +1,11 @@
 """Single-edit channel events and seeded end-to-end correction trials.
 
 Each trial runs encode -> corrupt -> correct -> extract and succeeds when the
-extracted bits equal the original message. Trial i draws from a stdlib
-random.Random seeded with the Cantor pairing of (seed, i), which is injective,
-so runs are reproducible for a given seed and order-independent across
-workers.
+extracted bits equal the original message. A run seeds one stdlib
+random.Random(seed) and its trials draw from it in trial order, so equal
+arguments give equal runs and a run of m trials is the first m trials of any
+longer run with the same seed. Trial i's draws depend on the draws of trials
+0..i-1, so one trial cannot be replayed on its own.
 
 The trial loop validates no word: its messages are drawn as bits and every
 later word is the library's own output, so it calls the unchecked cores of
@@ -26,7 +27,16 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ParameterError, UnsupportedParametersError, VtCodeError
-from .words import CodeParams, Word, _apply, _text_bits, check_int, check_word, format_bitstring
+from .words import (
+    CodeParams,
+    Word,
+    _apply,
+    _text_bits,
+    check_int,
+    check_params,
+    check_word,
+    format_bitstring,
+)
 
 EVENT_KINDS = ("deletion", "insertion", "identity")
 CHANNEL_KINDS = ("deletion", "insertion", "mixed", "identity")
@@ -62,7 +72,8 @@ class ChannelEvent:
 def apply_channel(word, event: ChannelEvent) -> Word:
     """Apply one event to a word. Deletion positions must lie in 0..len-1,
     insertion positions in 0..len; the caller guarantees the inserted symbol
-    fits the word's alphabet."""
+    fits the word's alphabet. An event that is not a ChannelEvent is refused."""
+    event = check_params(event, ChannelEvent)
     return _apply(check_word(word), event.kind, event.position, event.symbol)
 
 
@@ -122,7 +133,10 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
     Per trial: draw a uniform message, encode, draw a uniform event of the
     requested kind (mixed flips a fair coin between deletion and insertion),
     corrupt, correct, extract. Codec errors are recorded as failures rather
-    than raised. Deterministic for fixed (params, channel_kind, trials, seed).
+    than raised. One random.Random(seed) is seeded per call and every trial
+    draws from it in trial order: deterministic for fixed (params,
+    channel_kind, trials, seed), and the first m trials of a run are the run
+    of m trials with that seed; trial i's draws depend on trials 0..i-1.
     """
     if channel_kind not in CHANNEL_KINDS:
         raise ParameterError(f"channel must be one of {CHANNEL_KINDS}, got {channel_kind!r}")
@@ -138,8 +152,8 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
     start = time.perf_counter()
     successes = 0
     failures: list[TrialFailure] = []
+    rng = random.Random(seed)
     for i in range(trials):
-        rng = random.Random((seed + i) * (seed + i + 1) // 2 + i)
         message = _text_bits(format(rng.getrandbits(k), f"0{k}b").encode()) if k else b""
         kind, position, symbol = channel_kind, None, None
         if kind == "mixed":

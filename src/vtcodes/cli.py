@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="event kind per trial (default: mixed)",
     )
     sub.add_argument("--trials", type=int, required=True, help="number of trials (>= 1)")
-    sub.add_argument("--seed", type=int, required=True, help="base seed")
+    sub.add_argument("--seed", type=int, required=True, help="seed of the run's generator")
     _add_json_flag(sub)
     sub.set_defaults(handler=_cmd_simulate)
 

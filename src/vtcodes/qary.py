@@ -118,13 +118,16 @@ class _Layout(NamedTuple):
     k: int
 
 
-# typed, as pair_table: a layout cached for 16 must not answer 16.0
-@lru_cache(maxsize=256, typed=True)
 def _layout(n: int, q: int) -> _Layout:
     """The encoder's layout at (n, q); raises the shape's refusal: n >= 6,
     q >= 3, and n - 1 not a power of two, whose block would need position n."""
     q = check_int(q, "alphabet size", 3)
-    n = check_int(n, "code length", 6)
+    return _cached_layout(check_int(n, "code length", 6), q)
+
+
+@lru_cache(maxsize=256)
+def _cached_layout(n: int, q: int) -> _Layout:
+    """_layout for plain ints that passed its checks."""
     if (n - 1) & (n - 2) == 0:
         raise UnsupportedLengthError(
             f"length {n} is unsupported: the reserved-position layout needs "
@@ -133,7 +136,7 @@ def _layout(n: int, q: int) -> _Layout:
     t = (n - 1).bit_length()
     blocks = [1 << j for j in range(2, t)]
     free_runs = tuple(map(slice, [p + 2 for p in blocks], [p - 1 for p in blocks[1:]] + [n]))
-    table = pair_table(q)
+    table = _pair_table(q)
     first5, size5 = table.position5
     free = n - 3 * t + 3  # all but 0..5 and three per block j >= 3
     sizes = (q**free,) + (table.pair_count,) * (t - 3) + (size5,)
@@ -207,9 +210,13 @@ class PairTable:
         return self.pair_index((q - 1, v)) - self._single_offset
 
 
-# typed: once pair_table(np.int64(3)) is cached, pair_table(3.0) would hit it.
-@lru_cache(maxsize=None, typed=True)
 def pair_table(q: int) -> PairTable:
+    """The one PairTable of alphabet q; q is checked before the cache."""
+    return _pair_table(check_int(q, "alphabet size", 3))
+
+
+@lru_cache(maxsize=None)
+def _pair_table(q: int) -> PairTable:
     return PairTable(q)
 
 
@@ -371,7 +378,7 @@ def _place_message(bits: Sequence[int], params: QaryVtParams) -> bytearray | lis
     six zeros; each block 2^j - 1 .. 2^j + 1 (j >= 3) goes in as a copy of
     positions 0..2, which stay 0, and gets its pair (left, right) around the
     stand-in left - 1 at 2^j, as do 3, 4, 5."""
-    layout, pair = params._layout, pair_table(params.q).pair
+    layout, pair = params._layout, _pair_table(params.q).pair
     c = bytearray(6) if layout.q <= 256 else [0] * 6
     text = _bit_text(bits)
     used = layout.free_bits

@@ -445,8 +445,9 @@ class CodeParams:
 
 
 def check_params(params, family: type):
-    """params itself when it is an instance of family; ParameterError naming
-    family otherwise, so a module function never runs another family's flow."""
+    """params itself when it is an instance of family (a code family, or
+    ChannelEvent); ParameterError naming family otherwise, so a module
+    function never runs another family's flow."""
     if not isinstance(params, family):
         raise ParameterError(f"expected {family.__name__}, got {type(params).__name__}")
     return params

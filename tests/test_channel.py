@@ -86,6 +86,12 @@ def test_apply_channel_identity():
     assert apply_channel(REF_WORD, ChannelEvent("identity")) == REF_WORD
 
 
+@pytest.mark.parametrize("event", [("deletion", 0), None, "identity"])
+def test_apply_channel_refuses_a_non_event(event):
+    with pytest.raises(ParameterError):
+        apply_channel((0, 1, 0), event)
+
+
 # ------------------------------------------------------------------ trials
 
 
@@ -145,6 +151,34 @@ TRIAL_CODES = [
 ]
 
 
+def test_run_trials_builds_one_generator_per_call(monkeypatch):
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(channel.random, "Random", Counting)
+    for p in TRIAL_CODES:
+        for kind in CHANNEL_KINDS:
+            built.clear()
+            assert run_trials(p, kind, trials=50, seed=9).successes == 50
+            assert built == [(9,)]
+
+
+@pytest.mark.parametrize("p", TRIAL_CODES)
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_trial_draws_are_a_prefix_and_follow_the_seed(monkeypatch, p, kind):
+    # every trial fails, so failure_cases records each trial's draws
+    monkeypatch.setattr(type(p), "_read", lambda self, word: (2,))
+    for seed in (0, 1, 3):
+        short = run_trials(p, kind, 8, seed).failure_cases
+        assert short == run_trials(p, kind, 16, seed).failure_cases[:8]
+    if p.k:
+        assert run_trials(p, kind, 16, 0).failure_cases != run_trials(p, kind, 16, 1).failure_cases
+
+
 def test_trial_loop_revalidates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("the trial loop validated a word again")
@@ -162,8 +196,8 @@ def public_trials(params, channel_kind, trials, seed):
     """run_trials rebuilt from the public, validating calls."""
     n, q, k = params.n, params.q, params.k
     successes, failures = 0, []
+    rng = random.Random(seed)
     for i in range(trials):
-        rng = random.Random((seed + i) * (seed + i + 1) // 2 + i)
         message = tuple(map(int, format(rng.getrandbits(k), f"0{k}b"))) if k else ()
         kind = channel_kind
         if kind == "mixed":

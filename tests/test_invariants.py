@@ -129,6 +129,15 @@ def test_integer_arguments_accept_numpy_integers(call, args):
 
 
 @pytest.mark.parametrize("call, args", INT_CALLS)
+@pytest.mark.parametrize("bad", [[3], {}], ids=["list", "dict"])
+def test_integer_arguments_refuse_unhashable_values(call, args, bad):
+    # checked before any cache, which would raise TypeError on an unhashable key
+    for i in range(len(args)):
+        with pytest.raises(ParameterError):
+            call(*args[:i], bad, *args[i + 1 :])
+
+
+@pytest.mark.parametrize("call, args", INT_CALLS)
 @pytest.mark.parametrize("bad", NOT_INTS)
 def test_integer_arguments_reject_non_integers(call, args, bad):
     call(*args)  # warm any cache first, so a cache hit cannot mask the check
