@@ -211,7 +211,7 @@ def binary_size_within_bounds(n: int, count: int) -> bool:
     Cubing |2^n/(n+1) - count| <= 2^((n+1)/3) removes the irrational slack:
     the comparison becomes |..|^3 <= 2^(n+1) over rationals.
     """
-    n = check_int(n, "n", 1)
+    n, count = check_int(n, "n", 1), check_int(count, "count")
     gap = Fraction(1 << n, n + 1) - count
     return abs(gap) ** 3 <= (1 << (n + 1))
 

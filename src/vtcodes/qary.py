@@ -31,10 +31,11 @@ auxiliary sequence by the binary rule) to the shared words.CodeParams.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
-from operator import add
+from operator import add, neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .binary import _levenshtein_restore
@@ -298,10 +299,12 @@ class QaryVtParams(CodeParams):
         single bit edit of the auxiliary sequence, so Levenshtein's decoder
         (length n - 1, modulus n) returns the auxiliary edit, at the leftmost
         index e of its run of bit. With end the next opposite bit (one find()),
-        the codeword's auxiliary bits hold bit at e .. end for a lost symbol
-        and at e .. end - 2 for a gained one, the opposite bit on either side.
-        The symbol goes in (or comes out) at the first j from e on whose new
-        auxiliary bits match those. O(n) in all.
+        the symbols r[e .. end] under that run are monotone, non-decreasing
+        under ascents and strictly decreasing under descents, so one bisection
+        places the symbol there. r's auxiliary bits e - 1 and end already hold
+        the opposite of bit, so the ends of the run need no test when r is one
+        edit from a codeword; for any other r, _correct's membership check
+        decides. O(n) in all.
         """
         n, q, a, b = self.n, self.q, self.a, self.b
         deletion = len(r) == n - 1
@@ -318,20 +321,13 @@ class QaryVtParams(CodeParams):
         end = aux.find(1 - bit, edit)
         if end < 0:
             end = len(aux)
-        run = range(edit, end + 1 if deletion else end - 1)  # the codeword's run of bit
-
-        def agrees(ascent: bool, i: int) -> bool:  # True when the codeword's aux bit i is ascent
-            return (ascent == bit) == (i in run)
-
-        for j in range(edit, end + 2 if deletion else end + 1):
-            if deletion:
-                if (not j or agrees(symbol >= r[j - 1], j - 1)) and (
-                    j == n - 1 or agrees(r[j] >= symbol, j)
-                ):
-                    return "insertion", j, symbol
-            elif r[j] == symbol and (j in (0, n) or agrees(r[j + 1] >= r[j - 1], j - 1)):
-                return "deletion", j, None
-        return None
+        if bit:
+            j = bisect_left(r, symbol, edit, end + 1)
+        else:
+            j = bisect_left(r, -symbol, edit, end + 1, key=neg)
+        if deletion:
+            return "insertion", j, symbol
+        return ("deletion", j, None) if j <= end and r[j] == symbol else None
 
 
 def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:

@@ -154,6 +154,8 @@ def check_bits(bits: Iterable[int]) -> Word:
 
 
 def parse_bitstring(text: str) -> Word:
+    if not isinstance(text, str):
+        raise ParameterError(f"expected a str of 0s and 1s, got {type(text).__name__}")
     bad = set(text) - {"0", "1"}
     if bad:
         raise ParameterError(f"bit string may only contain 0 and 1, got {sorted(bad)}")
@@ -165,6 +167,8 @@ def format_bitstring(bits: Iterable[int]) -> str:
 
 
 def parse_symbols(text: str) -> Word:
+    if not isinstance(text, str):
+        raise ParameterError(f"expected a str of decimal symbols, got {type(text).__name__}")
     try:
         out = tuple(int(tok) for tok in text.split())
     except ValueError:

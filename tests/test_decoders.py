@@ -56,11 +56,14 @@ def test_qary_matches_oracle_on_every_word_at_small_shapes():
 
 def test_qary_matches_oracle_on_seeded_random_words():
     rng = random.Random(20240817)
+    orders = (tuple, sorted, lambda w: sorted(w, reverse=True))
     for n, q in [(8, 4), (10, 3), (12, 5)]:
         for _ in range(1500):
             # half arbitrary words, half single edits of an arbitrary word
-            # checked against the code that word belongs to
-            word = tuple(rng.randrange(q) for _ in range(n))
+            # checked against the code that word belongs to; a third of the
+            # words sorted and a third reverse-sorted, so the runs reach the ends
+            order = rng.choice(orders)
+            word = tuple(order(rng.randrange(q) for _ in range(n)))
             i = rng.randrange(n + 1)
             if rng.random() < 0.5:
                 params = QaryVtParams(n, q, *code_signature(word, q))
@@ -71,7 +74,7 @@ def test_qary_matches_oracle_on_seeded_random_words():
             else:
                 params = QaryVtParams(n, q, rng.randrange(n), rng.randrange(q))
                 length = rng.choice((n - 1, n + 1))
-                received = tuple(rng.randrange(q) for _ in range(length))
+                received = tuple(order(rng.randrange(q) for _ in range(length)))
             agree(received, params)
 
 
@@ -173,6 +176,8 @@ def test_qary_corrects_every_edit_on_both_sides_of_the_lane_alphabets(n, q, rng)
     # any word is a codeword of the code its signature names, which reaches
     # alphabets too large for the encoder's pair table; q > 128 compares per symbol
     word = tuple(rng.choice((0, q - 1, rng.randrange(q))) for _ in range(n))
+    if rng.getrandbits(1):  # a monotone word is one run of the auxiliary sequence
+        word = tuple(sorted(word, reverse=rng.getrandbits(1)))
     params = QaryVtParams(n, q, *code_signature(word, q))
     deletions, insertions = edits(word, rng.randrange(n + 1), rng.randrange(q))
     for received in deletions + insertions:

@@ -88,6 +88,7 @@ INT_CALLS = [
     (pair_table, (3,)),
     (PairTable, (3,)),
     (lambda n: binary_size_within_bounds(n, 5), (10,)),
+    (lambda count: binary_size_within_bounds(10, count), (93,)),
     (lambda trials, seed: run_trials(QaryVtParams(16, 8, 0, 1), "mixed", trials, seed), (3, 0)),
     (lambda p: ChannelEvent("deletion", position=p), (2,)),
     (lambda s: ChannelEvent("insertion", position=0, symbol=s), (2,)),

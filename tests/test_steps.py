@@ -1,13 +1,16 @@
 """Public calls stay within a + b * log2(n) interpreter lines.
 
 The per-symbol work of encode, extract, correct and the word check runs in
-builtins, so the library's own Python lines grow with log2(n) only: one
-iteration per reserved block, lane level or divide-and-conquer split. A
-Python loop over symbols, or over a fixed number of symbols, would add
-thousands of lines at n = 16384. The budgets leave room for the line events
-of other Python versions (3.10 to 3.12), so they check growth, not exact
-counts. Alphabets other than powers of two convert their free block c digits
-per loop iteration (q**c <= 256), so their encode and extract get explicit
+builtins (bytes methods, bisect, big-int lane arithmetic), so the library's
+own Python lines grow with log2(n) only: one iteration per reserved block,
+lane level or divide-and-conquer split. correct is counted on the codeword of
+a random message and on a sorted codeword, one run of ascents, where a
+decoder that walked the run would pay per symbol. A Python loop over
+symbols, or over a fixed number of symbols, would add thousands of lines at
+n = 16384. The budgets leave room for the line events of other Python
+versions (3.10 to 3.12), so they check growth, not exact counts. Alphabets
+other than powers of two convert their free block c digits per loop
+iteration (q**c <= 256), so their encode and extract get explicit
 a + b * n / c budgets instead, which keep that cost visible.
 """
 
@@ -17,7 +20,7 @@ import random
 import pytest
 
 from steps import line_events
-from vtcodes import BinaryVtParams, QaryVtParams
+from vtcodes import BinaryVtParams, QaryVtParams, code_signature, syndrome
 from vtcodes.words import _chunking, check_word
 
 # (a, b) per call; at q = 4 and 8 the counts read about 145 / 80 / 85 / 12 at
@@ -42,20 +45,31 @@ CHUNK_BUDGETS = {
 
 def counted_calls(n, q):
     """Line events of each public call at (n, q), after a first untraced call
-    that builds per-length tables and cached properties."""
+    that builds per-length tables and cached properties. The sorted word
+    ramp, x * q // n at x, belongs to the code its signature names; it loses
+    and gains a symbol at n - 2, deep in its run, whose auxiliary edit
+    Levenshtein's rule places at 0."""
     p = BinaryVtParams(n, n // 3) if q == 2 else QaryVtParams(n, q, n // 3, q // 2)
     rng = random.Random(n * q)
     message = tuple(rng.randrange(2) for _ in range(p.k))
     word = p.encode(message)
     i, j = rng.randrange(n), rng.randrange(n + 1)
-    calls = {
-        "encode": (p.encode, message),
-        "extract": (p.extract, word),
-        "correct deletion": (p.correct, word[:i] + word[i + 1 :]),
-        "correct insertion": (p.correct, word[:j] + (rng.randrange(q),) + word[j:]),
-        "check_word": (check_word, word, q),
-    }
-    for name, (call, *args) in calls.items():
+    ramp = tuple(x * q // n for x in range(n))
+    if q == 2:
+        ramp_code = BinaryVtParams(n, syndrome(ramp))
+    else:
+        ramp_code = QaryVtParams(n, q, *code_signature(ramp, q))
+    deep = n - 2
+    calls = [
+        ("encode", p.encode, message),
+        ("extract", p.extract, word),
+        ("correct deletion", p.correct, word[:i] + word[i + 1 :]),
+        ("correct insertion", p.correct, word[:j] + (rng.randrange(q),) + word[j:]),
+        ("correct deletion", ramp_code.correct, ramp[:deep] + ramp[deep + 1 :]),
+        ("correct insertion", ramp_code.correct, ramp[: deep + 1] + ramp[deep:]),
+        ("check_word", check_word, word, q),
+    ]
+    for name, call, *args in calls:
         call(*args)
         yield name, line_events(call, *args)
 

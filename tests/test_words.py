@@ -71,6 +71,14 @@ def test_symbols_round_trip():
         parse_symbols("1 -2")
 
 
+def test_text_parsers_refuse_what_is_not_a_str():
+    # bytes too: their items are ints, not characters
+    for parse in (parse_bitstring, parse_symbols):
+        for value in (None, ["0", "1"], b"01", b"1 2", 5):
+            with pytest.raises(ParameterError, match="expected a str"):
+                parse(value)
+
+
 def test_bits_int_conversions_are_big_endian():
     assert int(_bit_text((1, 1, 0)), 2) == 6
     assert tuple(_text_bits(format(6, "03b").encode())) == (1, 1, 0)
