@@ -88,7 +88,6 @@ INT_CALLS = [
     (pair_table, (3,)),
     (PairTable, (3,)),
     (lambda n: binary_size_within_bounds(n, 5), (10,)),
-    (lambda count: binary_size_within_bounds(10, count), (93,)),
     (lambda trials, seed: run_trials(QaryVtParams(16, 8, 0, 1), "mixed", trials, seed), (3, 0)),
     (lambda p: ChannelEvent("deletion", position=p), (2,)),
     (lambda s: ChannelEvent("insertion", position=0, symbol=s), (2,)),
@@ -109,6 +108,7 @@ INT_CALLS = [
     (pair_table(8).single, (5,)),
     (lambda left, right: pair_table(8).pair_index((left, right)), (3, 5)),
     (pair_table(8).single_index, (7,)),
+    (lambda count: binary_size_within_bounds(10, count), (93,)),
 ]
 
 
