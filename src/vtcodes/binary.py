@@ -101,8 +101,15 @@ class BinaryVtParams(CodeParams):
         return b"".join(map(bytes(bits).__getitem__, self._message_runs))
 
     def _restore(self, received: Sequence[int]) -> tuple | None:
+        """Levenshtein's edit of the received bits when its word has checksum
+        a, else None; that checksum follows from the received one (see
+        _edited_checksum), so the rebuilt word takes no second kernel pass."""
         bits = bytes(received)  # the word itself when the boundary handed over bytes
-        return _levenshtein_restore(bits, self.n, self.a, _checksum(bits, self.n + 1))
+        total = _checksum(bits, self.n + 1)
+        edit = _levenshtein_restore(bits, self.n, self.a, total)
+        if edit is None or _edited_checksum(bits, total, *edit) % (self.n + 1) != self.a:
+            return None
+        return edit
 
 
 def is_member(word: Iterable[int], params: BinaryVtParams) -> bool:
@@ -123,6 +130,16 @@ def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
 def extract(word: Iterable[int], params: BinaryVtParams) -> Word:
     """Read the message bits back out of a codeword."""
     return check_params(params, BinaryVtParams).extract(word)
+
+
+def _edited_checksum(bits: bytes, total: int, kind: str, j: int, bit: int | None) -> int:
+    """The checksum of _apply(bits, kind, j, bit), from total, that of bits
+    (or anything congruent to it), as Levenshtein (1966) counts it: a bit
+    put in at j weighs j + 1 and moves each one to its right one place up,
+    and a bit taken out at j the mirror way. One count() pass."""
+    if kind == "insertion":
+        return total + bit * (j + 1) + bits.count(1, j)
+    return total - bits[j] * (j + 1) - bits.count(1, j + 1)
 
 
 def _levenshtein_restore(bits: bytes | bytearray, m: int, a: int, total: int) -> tuple | None:
@@ -174,8 +191,9 @@ def correct(received: Iterable[int], params: BinaryVtParams) -> Word:
     A received length of n - 1 means a deletion, n + 1 an insertion, and n
     must already be a codeword. Deletions and insertions are located in O(n)
     C passes by Levenshtein's rule (see _levenshtein_restore), and the
-    result is checked against the code; the answer is unique because the
-    code corrects any single edit.
+    result's checksum, which follows from the received word's, is checked
+    against a; the answer is unique because the code corrects any single
+    edit.
     """
     return check_params(params, BinaryVtParams).correct(received)
 

@@ -301,10 +301,10 @@ class QaryVtParams(CodeParams):
         index e of its run of bit. With end the next opposite bit (one find()),
         the symbols r[e .. end] under that run are monotone, non-decreasing
         under ascents and strictly decreasing under descents, so one bisection
-        places the symbol there. r's auxiliary bits e - 1 and end already hold
-        the opposite of bit, so the ends of the run need no test when r is one
-        edit from a codeword; for any other r, _correct's membership check
-        decides. O(n) in all.
+        places the symbol there. The edit is returned only when its word hits
+        both residues, which _edit_signature reads off r's own flags, checksum
+        and sum, so any r, one edit from a codeword or not, gets an exact
+        answer without a second kernel pass. O(n) in all.
         """
         n, q, a, b = self.n, self.q, self.a, self.b
         deletion = len(r) == n - 1
@@ -312,7 +312,8 @@ class QaryVtParams(CodeParams):
         symbol = (b - total) % q if deletion else (total - b) % q
         flags = _ascent_flags(r, q)
         aux = flags.to_bytes(len(r) - 1, "little")
-        found = _levenshtein_restore(aux, n - 1, a, _flag_checksum(flags, len(aux)))
+        checksum = _flag_checksum(flags, len(aux))
+        found = _levenshtein_restore(aux, n - 1, a, checksum)
         if found is None:
             return None
         _, edit, bit = found
@@ -326,8 +327,40 @@ class QaryVtParams(CodeParams):
         else:
             j = bisect_left(r, -symbol, edit, end + 1, key=neg)
         if deletion:
-            return "insertion", j, symbol
-        return ("deletion", j, None) if j <= end and r[j] == symbol else None
+            undo = "insertion", j, symbol
+        elif j <= end and r[j] == symbol:
+            undo = "deletion", j, None
+        else:
+            return None
+        return undo if _edit_signature(r, aux, checksum, total, q, *undo) == (a, b) else None
+
+
+def _edit_signature(
+    r: Sequence[int], aux: bytes, checksum: int, total: int, q: int, kind: str, j: int, s: int | None
+) -> tuple[int, int]:
+    """code_signature(_apply(r, kind, j, s), q), from r's auxiliary bits aux
+    (as bytes), their checksum and r's symbol sum: O(1) plus one count().
+    Putting s in at j, or taking r[j] out, moves every auxiliary bit past
+    the edit one weight up or down, which aux.count() adds up, and changes
+    at most the bits that compare s, or r[j], with its neighbours: the bit
+    at weight j (the left neighbour) and the one at weight j + 1 (the right
+    one). Deleting r[j] joins r[j - 1] and r[j + 1] at weight j."""
+    m = len(r)
+    if kind == "insertion":
+        checksum += aux.count(1, j)
+        if j:  # s against r[j - 1], in place of r[j] against it
+            checksum += j * ((s >= r[j - 1]) - (j < m and aux[j - 1]))
+        if j < m:
+            checksum += (j + 1) * (r[j] >= s)
+        return checksum % (m + 1), (total + s) % q
+    checksum -= aux.count(1, j + 1)
+    if j:
+        checksum -= j * aux[j - 1]
+        if j < m - 1:
+            checksum += j * (r[j + 1] >= r[j - 1])
+    if j < m - 1:
+        checksum -= (j + 1) * aux[j]
+    return checksum % (m - 1), (total - r[j]) % q
 
 
 def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
@@ -451,8 +484,8 @@ def correct(received: Iterable[int], params: QaryVtParams) -> Word:
 
     A received length of n - 1 means a deletion, n + 1 an insertion, and n
     must already be a codeword. Deletions and insertions are located in
-    O(n) by Tenengolts' decoder (see QaryVtParams._restore), and the result is
-    checked against both residues; the answer is unique because the code
-    corrects any single edit.
+    O(n) by Tenengolts' decoder (see QaryVtParams._restore), and the result's
+    two residues, which follow from the received word's, are checked against
+    a and b; the answer is unique because the code corrects any single edit.
     """
     return check_params(params, QaryVtParams).correct(received)

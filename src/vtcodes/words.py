@@ -374,10 +374,12 @@ class CodeParams:
     _correct as bytes (a tuple for q > 256; see _word), and
     turn the core's word into a tuple once. Each family supplies n, q, k, t,
     _member (for a checked word of length n), _encode, the positional reader
-    _read, and _restore, its decoder: the edit that undoes the channel's on
-    a word of length n - 1 or n + 1, as _apply's fields at the leftmost
-    position that gives its word, or None. The cores take bytes or a tuple
-    and use only what the two share."""
+    _read, and _restore, its decoder: for a word of length n - 1 or n + 1,
+    the edit that undoes the channel's, as _apply's fields at the leftmost
+    position that gives its word, when that word is in the code, or None.
+    _restore checks the code's residues of that word from the received
+    word's, so _correct runs no membership pass on its output. The cores
+    take bytes or a tuple and use only what the two share."""
 
     _unsupported: str | None = None  # why encode and extract refuse the shape
 
@@ -435,13 +437,11 @@ class CodeParams:
         if len(r) not in (n - 1, n + 1):
             raise ParameterError(f"received length {len(r)} is not within one edit of n={n}")
         edit = self._restore(r)
-        if edit is not None:
-            word = _apply(r, *edit)
-            if self._member(word):
-                return word
-        raise NoCandidateError(
-            f"no codeword within one edit of the received word ({self._shape()})"
-        )
+        if edit is None:
+            raise NoCandidateError(
+                f"no codeword within one edit of the received word ({self._shape()})"
+            )
+        return _apply(r, *edit)
 
     def _shape(self) -> str:
         """The code's parameters as error messages name them: "q=2, n=10, a=3"."""

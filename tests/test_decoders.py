@@ -4,7 +4,9 @@ Exhaustive and seeded comparisons check that `binary.correct` and
 `qary.correct` return the same word, or raise the same exception type, as
 the slow oracle in `oracle.py` on every received word of length n - 1 and
 n + 1. Property tests then check, at lengths the oracle cannot reach, that
-every deletion and insertion of an encoded codeword corrects.
+every deletion and insertion of an encoded codeword corrects, and that the
+residues the decoders compute for their edit's word from the received word
+equal the kernel's on that word, for any edit of any word.
 """
 
 import itertools
@@ -14,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import correct_binary as oracle_binary, correct_q as oracle_q
 from vtcodes import binary, qary
-from vtcodes.binary import BinaryVtParams, _levenshtein_restore
+from vtcodes.binary import BinaryVtParams, _edited_checksum, _levenshtein_restore, syndrome
 from vtcodes.errors import NoCandidateError
-from vtcodes.qary import QaryVtParams, code_signature
+from vtcodes.qary import QaryVtParams, _edit_signature, code_signature
 from vtcodes.words import _apply
 
 
@@ -76,6 +78,82 @@ def test_qary_matches_oracle_on_seeded_random_words():
                 length = rng.choice((n - 1, n + 1))
                 received = tuple(order(rng.randrange(q) for _ in range(length)))
             agree(received, params)
+
+
+def test_qary_matches_oracle_on_seeded_random_words_past_the_lane_alphabets():
+    # q = 129 compares per symbol and q = 257 holds words as tuples. A third of
+    # the draws take arbitrary residues, a third the code of one edit of the
+    # word, and a third a sum residue that names a symbol the word already
+    # holds, next to which the decoder's edit often misses the checksum. Its
+    # own residue check must then refuse the word: at length n - 1 the
+    # auxiliary bit can always be put back, so each NoCandidateError there is
+    # such a refusal, and both alphabets must see some.
+    rng = random.Random(20261020)
+    orders = (tuple, sorted, lambda w: sorted(w, reverse=True))
+    n = 8
+    for q in (129, 257):
+        refused = 0
+        for _ in range(300):
+            order = rng.choice(orders)
+            length = rng.choice((n - 1, n + 1))
+            received = tuple(order(rng.choice((0, q - 1, rng.randrange(q))) for _ in range(length)))
+            a, draw = rng.randrange(n), rng.randrange(3)
+            if draw == 0:
+                params = QaryVtParams(n, q, a, rng.randrange(q))
+            elif draw == 1:
+                i = rng.randrange(length)
+                if length == n - 1:
+                    word = received[:i] + (rng.randrange(q),) + received[i:]
+                else:
+                    word = received[:i] + received[i + 1 :]
+                params = QaryVtParams(n, q, *code_signature(word, q))
+            else:
+                s = rng.choice(received)
+                params = QaryVtParams(n, q, a, (sum(received) + (s if length < n else -s)) % q)
+            agree(received, params)
+            if length < n:
+                refused += outcome(qary.correct, received, params) is NoCandidateError
+        assert refused, q
+
+
+@st.composite
+def arbitrary_edits(draw, alphabets):
+    """(q, r, kind, j, s): a word r over q, bytes or a tuple (a tuple past
+    q = 256), of length 3 .. 2048, and any edit of it: any position,
+    0 and len(r) included, and any symbol, often a neighbour's."""
+    q = draw(st.sampled_from(alphabets))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.one_of(st.integers(3, 12), st.integers(3, 2048)))
+    r = [rng.choice((0, q - 1, rng.randrange(q))) for _ in range(length)]
+    if rng.getrandbits(1):  # long runs of ascents or descents
+        r.sort(reverse=rng.getrandbits(1))
+    r = bytes(r) if q <= 256 and draw(st.booleans()) else tuple(r)
+    kind = draw(st.sampled_from(("insertion", "deletion")))
+    last = length if kind == "insertion" else length - 1
+    j = draw(st.one_of(st.sampled_from((0, last)), st.integers(0, last)))
+    near = [r[i] + d for i in (j - 1, j) if 0 <= i < length for d in (-1, 0, 1)]
+    s = draw(st.sampled_from([x for x in near if 0 <= x < q] + [rng.randrange(q)]))
+    return q, r, kind, j, s if kind == "insertion" else None
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(arbitrary_edits([2]))
+def test_binary_edited_checksum_matches_the_kernel(case):
+    _, bits, kind, j, bit = case
+    bits = bytes(bits)
+    total = sum(i * x for i, x in enumerate(bits, 1))
+    word = _apply(bits, kind, j, bit)
+    assert _edited_checksum(bits, total, kind, j, bit) % (len(word) + 1) == syndrome(word)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(arbitrary_edits([2, 3, 4, 127, 128, 129, 255, 256, 257, 300]))
+def test_qary_edit_signature_matches_the_kernel(case):
+    q, r, kind, j, s = case
+    aux = bytes(y >= x for x, y in zip(r, r[1:]))
+    checksum = sum(i * x for i, x in enumerate(aux, 1))
+    found = _edit_signature(r, aux, checksum, sum(r), q, kind, j, s)
+    assert found == code_signature(_apply(r, kind, j, s), q), (q, r, kind, j, s)
 
 
 def edits(word, i, symbol):
