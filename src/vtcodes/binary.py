@@ -101,15 +101,10 @@ class BinaryVtParams(CodeParams):
         return b"".join(map(bytes(bits).__getitem__, self._message_runs))
 
     def _restore(self, received: Sequence[int]) -> tuple | None:
-        """Levenshtein's edit of the received bits when its word has checksum
-        a, else None; that checksum follows from the received one (see
-        _edited_checksum), so the rebuilt word takes no second kernel pass."""
+        """Levenshtein's edit of the received bits, whose word always has
+        checksum a (see _levenshtein_restore), or None."""
         bits = bytes(received)  # the word itself when the boundary handed over bytes
-        total = _checksum(bits, self.n + 1)
-        edit = _levenshtein_restore(bits, self.n, self.a, total)
-        if edit is None or _edited_checksum(bits, total, *edit) % (self.n + 1) != self.a:
-            return None
-        return edit
+        return _levenshtein_restore(bits, self.n, self.a, _checksum(bits, self.n + 1))
 
 
 def is_member(word: Iterable[int], params: BinaryVtParams) -> bool:
@@ -132,34 +127,30 @@ def extract(word: Iterable[int], params: BinaryVtParams) -> Word:
     return check_params(params, BinaryVtParams).extract(word)
 
 
-def _edited_checksum(bits: bytes, total: int, kind: str, j: int, bit: int | None) -> int:
-    """The checksum of _apply(bits, kind, j, bit), from total, that of bits
-    (or anything congruent to it), as Levenshtein (1966) counts it: a bit
-    put in at j weighs j + 1 and moves each one to its right one place up,
-    and a bit taken out at j the mirror way. One count() pass."""
-    if kind == "insertion":
-        return total + bit * (j + 1) + bits.count(1, j)
-    return total - bits[j] * (j + 1) - bits.count(1, j + 1)
-
-
 def _levenshtein_restore(bits: bytes | bytearray, m: int, a: int, total: int) -> tuple | None:
     """Levenshtein's decoder for the length-m code with checksum a mod (m + 1).
 
     bits holds the received 0/1 values, m - 1 of them (one bit lost) or
     m + 1 (one bit gained), and total is their checksum sum(i * r_i) or
-    anything congruent to it mod m + 1. Let w be their weight. A lost bit is
-    put back as a 0 with the checksum deficit d of ones to its right when
-    d <= w, and otherwise as a 1 with d - w - 1 zeros to its left. A gained
-    bit is the 0 with e ones to its right, where e is the checksum excess
-    (m + 1 when the excess is 0 and the word ends in a 1), or else the 1 with
-    e - w zeros to its left.
+    anything congruent to it mod m + 1. Let w be their weight. A bit put in
+    at index j weighs j + 1 and moves each one to its right one place up; a
+    bit taken out, the mirror way. A lost bit is put back as a 0 with the
+    checksum deficit d of ones to its right when d <= w, which adds d, and
+    otherwise as a 1 at an index j with d - w - 1 zeros and o ones to its
+    left, which adds (j + 1) + (w - o) = d. A gained bit is the 0 with e ones
+    to its right, where e is the checksum excess (m + 1 when the excess is 0
+    and the word ends in a 1), which removes e, or else the 1 at an index j
+    with e - w zeros and o ones to its left, which removes
+    (j + 1) + (w - o - 1) = e. So every edit returned lands on checksum a,
+    and no caller checks it again.
 
     Returns the edit of bits that undoes the channel's, as words._apply's
     fields: ("insertion", index, bit) or ("deletion", index, None). The index
     lies just past the last of the counted opposite bits, so it is the
     leftmost of its run, and every index in that run gives the same word. A
-    lost bit can always be put back; None means that removing no single bit
-    lands in the code. C passes only: count, then split at the opposite bits.
+    lost bit can always be put back; None means that the bit at the gained
+    index is not the one the rule needs, so removing no single bit lands in
+    the code. C passes only: count, then split at the opposite bits.
     """
     weight, lost = bits.count(1), len(bits) == m - 1
     if lost:
@@ -190,10 +181,9 @@ def correct(received: Iterable[int], params: BinaryVtParams) -> Word:
 
     A received length of n - 1 means a deletion, n + 1 an insertion, and n
     must already be a codeword. Deletions and insertions are located in O(n)
-    C passes by Levenshtein's rule (see _levenshtein_restore), and the
-    result's checksum, which follows from the received word's, is checked
-    against a; the answer is unique because the code corrects any single
-    edit.
+    C passes by Levenshtein's rule (see _levenshtein_restore), whose edit
+    always lands on checksum a, so the result is not checked again; the
+    answer is unique because the code corrects any single edit.
     """
     return check_params(params, BinaryVtParams).correct(received)
 

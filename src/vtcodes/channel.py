@@ -12,14 +12,14 @@ later word is the library's own output, so it calls the unchecked cores of
 the shared codec flow (words.CodeParams: _encode, _correct and _read)
 and words._apply, the edit primitive apply_channel and the decoders share,
 which the public calls reach after their one validation.
-_correct returns only members of the code: each decoder checks its rebuilt
-word's residues from the received word's, with no second kernel pass, so the
-message is read straight from its output, without extract's membership
-pass. Messages are drawn, compared and decoded as bytes, and every word
-stays in the cores' word type (see words._word) from encoding to
-extraction. Each trial's event is drawn as plain fields; a ChannelEvent,
-which checks its fields, and a tuple of the message are built only for a
-trial that fails.
+_correct returns only members of the code: the binary decoder's rule always
+lands in it, and the q-ary one checks its rebuilt word's auxiliary checksum
+from the received word's, with no second kernel pass, so the message is read
+straight from its output, without extract's membership pass. Messages are
+drawn, compared and decoded as bytes, and every word stays in the cores'
+word type (see words._word) from encoding to extraction. Each trial's event
+is drawn as plain fields; a ChannelEvent, which checks its fields, and a
+tuple of the message are built only for a trial that fails.
 """
 
 from __future__ import annotations

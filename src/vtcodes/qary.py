@@ -301,15 +301,17 @@ class QaryVtParams(CodeParams):
         index e of its run of bit. With end the next opposite bit (one find()),
         the symbols r[e .. end] under that run are monotone, non-decreasing
         under ascents and strictly decreasing under descents, so one bisection
-        places the symbol there. The edit is returned only when its word hits
-        both residues, which _edit_signature reads off r's own flags, checksum
-        and sum, so any r, one edit from a codeword or not, gets an exact
-        answer without a second kernel pass. O(n) in all.
+        places the symbol there. Its word always has sum b, as the symbol put
+        back is (b - sum(r)) mod q and the one taken out must equal
+        (sum(r) - b) mod q, but the symbol need not make the auxiliary edit
+        found, so the edit is returned only when its word's checksum, which
+        _edited_checksum reads off r's flags and checksum, is a. Any r, one
+        edit from a codeword or not, gets an exact answer without a second
+        kernel pass. O(n) in all.
         """
         n, q, a, b = self.n, self.q, self.a, self.b
         deletion = len(r) == n - 1
-        total = sum(r)
-        symbol = (b - total) % q if deletion else (total - b) % q
+        symbol = (b - sum(r)) % q if deletion else (sum(r) - b) % q
         flags = _ascent_flags(r, q)
         aux = flags.to_bytes(len(r) - 1, "little")
         checksum = _flag_checksum(flags, len(aux))
@@ -332,14 +334,14 @@ class QaryVtParams(CodeParams):
             undo = "deletion", j, None
         else:
             return None
-        return undo if _edit_signature(r, aux, checksum, total, q, *undo) == (a, b) else None
+        return undo if _edited_checksum(r, aux, checksum, *undo) == a else None
 
 
-def _edit_signature(
-    r: Sequence[int], aux: bytes, checksum: int, total: int, q: int, kind: str, j: int, s: int | None
-) -> tuple[int, int]:
-    """code_signature(_apply(r, kind, j, s), q), from r's auxiliary bits aux
-    (as bytes), their checksum and r's symbol sum: O(1) plus one count().
+def _edited_checksum(
+    r: Sequence[int], aux: bytes, checksum: int, kind: str, j: int, s: int | None
+) -> int:
+    """code_signature(_apply(r, kind, j, s), q)[0], from r's auxiliary bits
+    aux (as bytes) and their checksum: O(1) plus one count().
     Putting s in at j, or taking r[j] out, moves every auxiliary bit past
     the edit one weight up or down, which aux.count() adds up, and changes
     at most the bits that compare s, or r[j], with its neighbours: the bit
@@ -352,7 +354,7 @@ def _edit_signature(
             checksum += j * ((s >= r[j - 1]) - (j < m and aux[j - 1]))
         if j < m:
             checksum += (j + 1) * (r[j] >= s)
-        return checksum % (m + 1), (total + s) % q
+        return checksum % (m + 1)
     checksum -= aux.count(1, j + 1)
     if j:
         checksum -= j * aux[j - 1]
@@ -360,7 +362,7 @@ def _edit_signature(
             checksum += j * (r[j + 1] >= r[j - 1])
     if j < m - 1:
         checksum -= (j + 1) * aux[j]
-    return checksum % (m - 1), (total - r[j]) % q
+    return checksum % (m - 1)
 
 
 def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
@@ -484,8 +486,9 @@ def correct(received: Iterable[int], params: QaryVtParams) -> Word:
 
     A received length of n - 1 means a deletion, n + 1 an insertion, and n
     must already be a codeword. Deletions and insertions are located in
-    O(n) by Tenengolts' decoder (see QaryVtParams._restore), and the result's
-    two residues, which follow from the received word's, are checked against
-    a and b; the answer is unique because the code corrects any single edit.
+    O(n) by Tenengolts' decoder (see QaryVtParams._restore), whose symbol
+    always lands on sum b, so only the result's auxiliary checksum, which
+    follows from the received word's, is checked against a; the answer is
+    unique because the code corrects any single edit.
     """
     return check_params(params, QaryVtParams).correct(received)

@@ -377,8 +377,9 @@ class CodeParams:
     _read, and _restore, its decoder: for a word of length n - 1 or n + 1,
     the edit that undoes the channel's, as _apply's fields at the leftmost
     position that gives its word, when that word is in the code, or None.
-    _restore checks the code's residues of that word from the received
-    word's, so _correct runs no membership pass on its output. The cores
+    Levenshtein's binary rule always lands in the code; the q-ary _restore
+    checks the one residue its rule leaves open from the received word's, so
+    _correct runs no membership pass on its output. The cores
     take bytes or a tuple and use only what the two share."""
 
     _unsupported: str | None = None  # why encode and extract refuse the shape

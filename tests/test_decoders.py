@@ -4,9 +4,12 @@ Exhaustive and seeded comparisons check that `binary.correct` and
 `qary.correct` return the same word, or raise the same exception type, as
 the slow oracle in `oracle.py` on every received word of length n - 1 and
 n + 1. Property tests then check, at lengths the oracle cannot reach, that
-every deletion and insertion of an encoded codeword corrects, and that the
-residues the decoders compute for their edit's word from the received word
-equal the kernel's on that word, for any edit of any word.
+every deletion and insertion of an encoded codeword corrects, and, for any
+received word, that each decoder's edit lands in the code by the kernel's
+residues. The binary decoder runs no re-check, so a word one bit short must
+always get its edit; the q-ary one checks the auxiliary checksum alone, and
+its formula for the edited word's checksum must equal the kernel's for any
+edit of any word.
 """
 
 import itertools
@@ -16,9 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import correct_binary as oracle_binary, correct_q as oracle_q
 from vtcodes import binary, qary
-from vtcodes.binary import BinaryVtParams, _edited_checksum, _levenshtein_restore, syndrome
+from vtcodes.binary import BinaryVtParams, _levenshtein_restore, syndrome
 from vtcodes.errors import NoCandidateError
-from vtcodes.qary import QaryVtParams, _edit_signature, code_signature
+from vtcodes.qary import QaryVtParams, _edited_checksum, code_signature
 from vtcodes.words import _apply
 
 
@@ -136,24 +139,74 @@ def arbitrary_edits(draw, alphabets):
     return q, r, kind, j, s if kind == "insertion" else None
 
 
+@st.composite
+def binary_received(draw):
+    """(params, r): a word r of 0 .. 2048 bits, of any density, sorted a
+    third of the time, and a code of length len(r) - 1 or len(r) + 1 with
+    any checksum a."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.one_of(st.integers(0, 12), st.integers(0, 2048)))
+    density = rng.random()
+    r = sorted(rng.random() < density for _ in range(length))
+    if rng.randrange(3):
+        rng.shuffle(r)
+    n = draw(st.sampled_from([m for m in (length - 1, length + 1) if m >= 1]))
+    return BinaryVtParams(n, draw(st.integers(0, n))), bytes(r)
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(arbitrary_edits([2]))
-def test_binary_edited_checksum_matches_the_kernel(case):
-    _, bits, kind, j, bit = case
-    bits = bytes(bits)
-    total = sum(i * x for i, x in enumerate(bits, 1))
-    word = _apply(bits, kind, j, bit)
-    assert _edited_checksum(bits, total, kind, j, bit) % (len(word) + 1) == syndrome(word)
+@given(binary_received())
+def test_binary_edit_always_lands_on_the_checksum(case):
+    params, r = case
+    edit = params._restore(r)
+    if len(r) < params.n:  # the code corrects any single deletion
+        assert edit is not None, (params, r)
+    if edit is not None:
+        assert syndrome(_apply(r, *edit)) == params.a, (params, r, edit)
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(arbitrary_edits([2, 3, 4, 127, 128, 129, 255, 256, 257, 300]))
-def test_qary_edit_signature_matches_the_kernel(case):
+def test_qary_edited_checksum_matches_the_kernel(case):
     q, r, kind, j, s = case
     aux = bytes(y >= x for x, y in zip(r, r[1:]))
     checksum = sum(i * x for i, x in enumerate(aux, 1))
-    found = _edit_signature(r, aux, checksum, sum(r), q, kind, j, s)
-    assert found == code_signature(_apply(r, kind, j, s), q), (q, r, kind, j, s)
+    found = _edited_checksum(r, aux, checksum, kind, j, s)
+    assert found == code_signature(_apply(r, kind, j, s), q)[0], (q, r, kind, j, s)
+
+
+@st.composite
+def qary_received(draw):
+    """(params, r): a word r over q, bytes or a tuple (a tuple past
+    q = 256), one symbol short of or past a code's length n, 6 .. 2048. A
+    third of the codes take arbitrary residues, a third those of one edit of
+    r, and a third a sum that names a symbol r holds."""
+    q = draw(st.sampled_from([3, 4, 127, 128, 129, 255, 256, 257, 300]))
+    lengths = st.one_of(st.integers(6, 12), st.integers(6, 2048))
+    n = draw(lengths.filter(lambda n: (n - 1) & (n - 2)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    length = n + rng.choice((-1, 1))
+    r = [rng.choice((0, q - 1, rng.randrange(q))) for _ in range(length)]
+    if rng.getrandbits(1):  # long runs of ascents or descents
+        r.sort(reverse=rng.getrandbits(1))
+    r = bytes(r) if q <= 256 and draw(st.booleans()) else tuple(r)
+    a, b, pick = rng.randrange(n), rng.randrange(q), rng.randrange(3)
+    if pick == 1:
+        kind, s = ("insertion", rng.randrange(q)) if length < n else ("deletion", None)
+        a, b = code_signature(_apply(r, kind, rng.randrange(length), s), q)
+    elif pick == 2:
+        s = rng.choice(r)
+        b = (sum(r) + (s if length < n else -s)) % q
+    return QaryVtParams(n, q, a, b), r
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(qary_received())
+def test_qary_edit_always_lands_in_the_code(case):
+    params, r = case
+    edit = params._restore(r)
+    if edit is not None:
+        assert code_signature(_apply(r, *edit), params.q) == (params.a, params.b), (params, r, edit)
 
 
 def edits(word, i, symbol):
