@@ -150,7 +150,8 @@ def _levenshtein_restore(bits: bytes | bytearray, m: int, a: int, total: int) ->
     leftmost of its run, and every index in that run gives the same word. A
     lost bit can always be put back; None means that the bit at the gained
     index is not the one the rule needs, so removing no single bit lands in
-    the code. C passes only: count, then split at the opposite bits.
+    the code. C passes only: count, then one replace() that marks the first
+    need opposite bits and one rfind() of the last mark.
     """
     weight, lost = bits.count(1), len(bits) == m - 1
     if lost:
@@ -167,8 +168,9 @@ def _levenshtein_restore(bits: bytes | bytearray, m: int, a: int, total: int) ->
             bit, need = 0, weight - excess  # ones to its left
         else:
             bit, need = 1, excess - weight  # zeros to its left
-    # need never exceeds the count of opposite bits, so the split always finds them
-    index = len(bits) - len(bits.split(bytes((1 - bit,)), need)[-1])
+    # need never exceeds the count of opposite bits: mark the first need of them
+    # with a 2, which bits never hold, and step past the last mark (0 when need is 0)
+    index = bits.replace(bytes((1 - bit,)), b"\2", need).rfind(2) + 1
     if lost:
         return "insertion", index, bit
     if index < len(bits) and bits[index] == bit:

@@ -33,6 +33,7 @@ from .words import (
     CodeParams,
     Word,
     _apply,
+    _returned,
     _text_bits,
     check_int,
     check_params,
@@ -76,7 +77,7 @@ def apply_channel(word, event: ChannelEvent) -> Word:
     insertion positions in 0..len; the caller guarantees the inserted symbol
     fits the word's alphabet. An event that is not a ChannelEvent is refused."""
     event = check_params(event, ChannelEvent)
-    return _apply(check_word(word), event.kind, event.position, event.symbol)
+    return _returned(_apply(check_word(word), event.kind, event.position, event.symbol))
 
 
 @dataclass(frozen=True)

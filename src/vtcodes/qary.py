@@ -83,6 +83,14 @@ def code_signature(word: Iterable[int], q: int) -> tuple[int, int]:
     n = len(w)
     if n < 2:
         raise ParameterError(f"word must have length at least 2, got {n}")
+    return _signature(w, q)
+
+
+def _signature(w: Sequence[int], q: int) -> tuple[int, int]:
+    """code_signature of a checked word of length n >= 2, unchecked: the one
+    spelling of the residue pair, which membership and the encoder's output
+    check compare with (a, b)."""
+    n = len(w)
     return _flag_checksum(_ascent_flags(w, q), n - 1) % n, sum(w) % q
 
 
@@ -264,7 +272,7 @@ class QaryVtParams(CodeParams):
         return None if self.k else f"(n={self.n}, q={self.q}) carries no message bits"
 
     def _member(self, w: Sequence[int]) -> bool:
-        return _matches_code(w, self.n, self.q, self.a, self.b)
+        return _signature(w, self.q) == (self.a, self.b)
 
     def _encode(self, bits: Sequence[int]) -> bytes | Word:
         return _complete_codeword(_place_message(bits, self), self)
@@ -366,8 +374,9 @@ def _edited_checksum(
 
 
 def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
-    """Membership test for an already validated word of length n."""
-    return _flag_checksum(_ascent_flags(w, q), n - 1) % n == a and sum(w) % q == b
+    """The encoder's output check: an already validated word of length n has
+    residues (a, b)."""
+    return _signature(w, q) == (a, b)
 
 
 def is_member(word: Iterable[int], params: QaryVtParams) -> bool:

@@ -13,16 +13,22 @@ fits in a byte, one bytearray().translate() range pass for alphabets below
 256 symbols. The codecs hand unchecked cores the bytes that pass builds
 (_word), or a tuple for alphabets past 256 symbols; the cores use only what
 bytes and tuples share, and the public calls turn a core's word into a
-tuple once. CodeParams, the
-base of both params classes, holds that codec flow once, rebuilding a
-corrected word with _apply, the edit primitive the channel uses too, and
-check_params keeps each family's module functions to that family's params. The block
-conversions take only values the codecs made or already checked, so they
-check nothing. The q-ary free block converts from and to '0'/'1' bit text:
-for q = 2**b <= 256 its digits are the text's b-bit groups, moved as bit
-planes by C passes; other alphabets go through an int split in about halves by
-cached powers of q down to leaves a per-base table converts c digits at a time
-(q**c <= 256). Only base-2 strings occur, so CPython's int/str limit never bites.
+tuple once, through _returned. That tuple is kept, one reference, as the last
+word a public codec call returned, and the check skips the type pass for that
+very object (identity, never equality), since the library built it from plain
+ints; the range pass still runs against the new call's alphabet. So a chain
+encode -> apply_channel -> correct -> extract pays the type pass once, for
+the message. Between threads a stale reference costs one full pass, never a
+wrong answer. CodeParams, the base of both params classes, holds that codec
+flow once, rebuilding a corrected word with _apply, the edit primitive the
+channel uses too, and check_params keeps each family's module functions to
+that family's params. The block conversions take only values the codecs made
+or already checked, so they check nothing. The q-ary free block converts
+from and to '0'/'1' bit text: for q = 2**b <= 256 its digits are the text's
+b-bit groups, moved as bit planes by C passes; other alphabets go through an
+int split in about halves by cached powers of q down to leaves a per-base
+table converts c digits at a time (q**c <= 256). Only base-2 strings occur,
+so CPython's int/str limit never bites.
 One lane kernel on a big int (SIMD within a register), _ascent_flags and
 _flag_checksum, gives the q-ary ascent bits and both families' weighted
 checksums sum(i * s_i) over 0/1 values: O(n), log2(n) / 3 AND/popcount steps.
@@ -81,6 +87,21 @@ def check_residue(value, name: str, modulus: int) -> int:
 
 _BYTE_VALUES = bytes(range(256))
 
+# The last word a public codec call returned (see _returned), which _checked
+# takes without a type pass. One reference: it keeps that word alive, so no
+# other object can share its identity.
+_last: Word | None = None
+
+
+def _returned(word: Iterable[int]) -> Word:
+    """word as a plain tuple, kept as the last word a public codec call
+    returned. The library builds such words only from core bytes, from
+    tuples _checked already made plain, and from symbols check_int returned,
+    so they hold plain ints."""
+    global _last
+    _last = out = tuple(word)
+    return out
+
 
 def _checked(word: Iterable[int], q: int | None) -> tuple[Sequence[int], bytes | bytearray | None]:
     """The one word check: (symbols, buffer) for a word over the alphabet
@@ -88,7 +109,9 @@ def _checked(word: Iterable[int], q: int | None) -> tuple[Sequence[int], bytes |
     word as a tuple of plain ints (a tuple of plain ints is kept as is;
     numpy integers convert through operator.index; bool, float and str
     symbols, and a word that is not iterable, are refused), or the bytes or
-    bytearray given, which holds no bool and so skips that type pass. buffer
+    bytearray given, which holds no bool and so skips that type pass, as
+    does the very tuple a public codec call returned last (_returned; an
+    equal tuple, a copy or a list still takes the pass). buffer
     holds the same symbols as bytes when every one fits in a byte, and is
     None otherwise.
 
@@ -112,7 +135,7 @@ def _checked(word: Iterable[int], q: int | None) -> tuple[Sequence[int], bytes |
         except TypeError:
             raise ParameterError(f"expected a sequence of ints, got {word!r}") from None
         out = tuple(word)
-        if set(map(type, out)) != {int}:
+        if out is not _last and set(map(type, out)) != {int}:
             out = tuple(map(_as_int, out))
         try:
             buf = bytearray(out)
@@ -371,8 +394,8 @@ def _apply(w: Sequence[int], kind: str, position: int | None, symbol: int | None
 class CodeParams:
     """The codec flow both params classes inherit: the public methods validate
     their word once, hand it to the unchecked cores _encode, _extract and
-    _correct as bytes (a tuple for q > 256; see _word), and
-    turn the core's word into a tuple once. Each family supplies n, q, k, t,
+    _correct as bytes (a tuple for q > 256; see _word), and turn the core's
+    word into a tuple once, through _returned. Each family supplies n, q, k, t,
     _member (for a checked word of length n), _encode, the positional reader
     _read, and _restore, its decoder: for a word of length n - 1 or n + 1,
     the edit that undoes the channel's, as _apply's fields at the leftmost
@@ -386,15 +409,15 @@ class CodeParams:
 
     def encode(self, message: Iterable[int]) -> Word:
         """Systematically encode k message bits into a codeword."""
-        return tuple(self._encode(self._message(message)))
+        return _returned(self._encode(self._message(message)))
 
     def extract(self, word: Iterable[int]) -> Word:
         """Read the message bits back out of a codeword produced by encode()."""
-        return tuple(self._extract(_word(word, self.q)))
+        return _returned(self._extract(_word(word, self.q)))
 
     def correct(self, received: Iterable[int]) -> Word:
         """Recover the codeword from a word that suffered at most one edit."""
-        return tuple(self._correct(_word(received, self.q)))
+        return _returned(self._correct(_word(received, self.q)))
 
     def is_member(self, word: Iterable[int]) -> bool:
         """True when a word of the code's length is in the code."""

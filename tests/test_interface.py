@@ -1,13 +1,18 @@
 """Both params classes offer the same code interface, and each method is
-the module function of its family."""
+the module function of its family. A chained round trip pays the word
+check's type pass once, for the message: only the very tuple a public codec
+call returned last skips it, and never its range pass."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtcodes import binary, qary
+from vtcodes import binary, qary, words
 from vtcodes.binary import BinaryVtParams
 from vtcodes.channel import ChannelEvent, apply_channel, run_trials
 from vtcodes.errors import NoCandidateError, NotACodewordError, ParameterError, VtCodeError
@@ -137,3 +142,122 @@ def test_round_trips_across_the_byte_boundary(q, n, rng):
         assert plain(fixed) and fixed == word
         assert p.extract(fixed) == message
     assert run_trials(p, "mixed", 4, rng.randrange(100)).successes == 4
+
+
+def chain_codes(q):
+    return BinaryVtParams(20, 5) if q == 2 else QaryVtParams(20, q, 5, q // 2)
+
+
+@pytest.mark.parametrize("q", [2, 4, 257])
+def test_a_chained_round_trip_runs_one_type_pass(monkeypatch, q):
+    # the type pass is set(map(type, word)); each returned word skips it in the next call
+    passes = []
+
+    def counted_set(*args):
+        passes.append(args)
+        return set(*args)
+
+    p = chain_codes(q)
+    message = tuple(i % 2 for i in range(p.k))
+    monkeypatch.setattr(words, "set", counted_set, raising=False)
+    for event in (ChannelEvent("deletion", 3), ChannelEvent("insertion", 3, q - 1), ChannelEvent("identity")):
+        passes.clear()
+        word = p.encode(message)
+        fixed = p.correct(apply_channel(word, event))
+        assert fixed == word and p.extract(fixed) == message
+        assert len(passes) == 1, (event, len(passes))
+
+
+def outcome(call, *args):
+    """What call(*args) returns, or the type and message of the package error it raises."""
+    try:
+        return "returns", call(*args)
+    except VtCodeError as exc:
+        return type(exc), str(exc)
+
+
+def outcomes(monkeypatch, last, calls, given):
+    """Each call's outcome on given, with last as the last returned word."""
+    found = []
+    for call, *rest in calls:
+        monkeypatch.setattr(words, "_last", last)
+        found.append(outcome(call, given, *rest))
+    return found
+
+
+@pytest.mark.parametrize("q", [2, 4, 257])
+def test_only_the_returned_tuple_itself_skips_the_type_pass(monkeypatch, q):
+    p = chain_codes(q)
+    word = p.encode(tuple(i % 2 for i in range(p.k)))
+    assert words._last is word and 1 in word
+    calls = [
+        (p.correct,), (p.extract,), (p.is_member,), (check_word, q), (check_symbols,),
+        (apply_channel, ChannelEvent("identity")), (format_symbols,),
+    ]
+    copies = {
+        "bool": tuple(True if s == 1 else s for s in word),
+        "float": tuple(1.0 if s == 1 else s for s in word),
+        "numpy": tuple(np.int64(1) if s == 1 else s for s in word),
+        "list": list(word),
+        "tuple": tuple(list(word)),
+    }
+    for name, copy in copies.items():
+        assert tuple(copy) == word and copy is not word
+        # the copy must be treated as it was before any word was returned
+        assert outcomes(monkeypatch, word, calls, copy) == outcomes(monkeypatch, None, calls, copy), name
+    refused = outcomes(monkeypatch, word, calls, copies["bool"])
+    assert all(kind is ParameterError for kind, _ in refused)
+    assert all(kind is ParameterError for kind, _ in outcomes(monkeypatch, word, calls, copies["float"]))
+    accepted = outcomes(monkeypatch, word, calls, copies["numpy"])
+    assert all(kind == "returns" for kind, _ in accepted)
+    assert accepted[0][1] == word and plain(accepted[0][1])
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (20, 300)])
+def test_the_returned_word_still_takes_the_range_pass(monkeypatch, shape):
+    # (20, 300) has symbols past 255, which the range pass checks with min/max
+    n, q = shape
+    big = QaryVtParams(n, q, 0, 1)
+    word = big.encode(tuple(i % 2 for i in range(big.k)))
+    assert max(word) >= 4 and (q < 256 or max(word) > 255)
+    small = QaryVtParams(n, 4, 0, 1)
+    calls = [
+        (small.correct,), (small.extract,), (small.is_member,), (check_word, 4), (check_bits,),
+        (BinaryVtParams(n, 0).correct,),
+    ]
+    got = outcomes(monkeypatch, word, calls, word)
+    assert got == outcomes(monkeypatch, None, calls, word)
+    for kind, text in got:
+        assert kind is ParameterError and "out of range for alphabet size" in text
+
+
+def test_threads_chaining_round_trips_get_the_serial_results():
+    codes = [BinaryVtParams(64, 5), QaryVtParams(64, 4, 3, 1), QaryVtParams(40, 8, 7, 2), QaryVtParams(20, 257, 5, 6)]
+
+    def chain(p, seed):
+        rng, out = random.Random(seed), []
+        for _ in range(200):
+            message = tuple(rng.getrandbits(1) for _ in range(p.k))
+            kind = rng.choice(("deletion", "insertion", "identity"))
+            if kind == "deletion":
+                event = ChannelEvent(kind, rng.randrange(p.n))
+            elif kind == "insertion":
+                event = ChannelEvent(kind, rng.randrange(p.n + 1), rng.randrange(p.q))
+            else:
+                event = ChannelEvent(kind)
+            word = p.encode(message)
+            fixed = p.correct(apply_channel(word, event))
+            out.append((word, fixed, p.extract(fixed)))
+        return out
+
+    serial = [chain(p, seed) for seed, p in enumerate(codes)]
+    assert all(fixed == word for run in serial for word, fixed, _ in run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so the calls interleave
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(chain, codes, range(len(codes)), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert all(plain(w) for run in threaded for trip in run for w in trip)
