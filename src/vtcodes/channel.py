@@ -28,7 +28,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, UnsupportedParametersError, VtCodeError
+from .errors import ParameterError, VtCodeError
 from .words import (
     CodeParams,
     Word,
@@ -147,9 +147,6 @@ def run_trials(params: CodeParams, channel_kind: str, trials: int, seed: int) ->
     seed = check_int(seed, "seed", 0)
     if not isinstance(params, CodeParams):
         raise ParameterError(f"unsupported params object: {params!r}")
-    # A shape the encoder refuses would fail every trial the same way.
-    if params._unsupported:
-        raise UnsupportedParametersError(f"{params._unsupported} to simulate")
     encode, correct, read = params._encode, params._correct, params._read
     n, q, k = params.n, params.q, params.k
     start = time.perf_counter()

@@ -118,17 +118,6 @@ def _cmd_validate_positions(args):
     return ("true" if ok else "false"), {"valid": ok}
 
 
-def _add_code_flags(sub):
-    sub.add_argument("--q", type=int, required=True, help="alphabet size (2 = binary)")
-    sub.add_argument("--n", type=int, required=True, help="code length")
-    sub.add_argument("--a", type=int, required=True, help="target checksum residue")
-    sub.add_argument("--b", type=int, default=None, help="target symbol-sum residue (q >= 3)")
-
-
-def _add_json_flag(sub):
-    sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vtcodes",
@@ -136,50 +125,53 @@ def build_parser() -> argparse.ArgumentParser:
         "single-deletion/insertion correcting codes.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--q", type=int, required=True, help="alphabet size (2 = binary)")
+    shape.add_argument("--n", type=int, required=True, help="code length")
+    code = argparse.ArgumentParser(add_help=False, parents=[shape])
+    code.add_argument("--a", type=int, required=True, help="target checksum residue")
+    code.add_argument("--b", type=int, default=None, help="target symbol-sum residue (q >= 3)")
 
-    sub = subs.add_parser("encode", help="encode a bit-string message into a codeword")
-    _add_code_flags(sub)
-    sub.add_argument("--message", required=True, help="message bits, e.g. 10110")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_encode)
-
-    sub = subs.add_parser("extract", help="read the message bits back out of a codeword")
-    _add_code_flags(sub)
-    sub.add_argument("--word", required=True, help="codeword symbols, e.g. '0 1 2 3'")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_extract)
+    def finish(sub, handler):
+        sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+        sub.set_defaults(handler=handler)
 
     sub = subs.add_parser(
-        "correct", help="repair a received word (edit type inferred from its length)"
+        "encode", parents=[code], help="encode a bit-string message into a codeword"
     )
-    _add_code_flags(sub)
+    sub.add_argument("--message", required=True, help="message bits, e.g. 10110")
+    finish(sub, _cmd_encode)
+
+    sub = subs.add_parser(
+        "extract", parents=[code], help="read the message bits back out of a codeword"
+    )
+    sub.add_argument("--word", required=True, help="codeword symbols, e.g. '0 1 2 3'")
+    finish(sub, _cmd_extract)
+
+    sub = subs.add_parser(
+        "correct",
+        parents=[code],
+        help="repair a received word (edit type inferred from its length)",
+    )
     sub.add_argument("--word", required=True, help="received symbols")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_correct)
+    finish(sub, _cmd_correct)
 
-    sub = subs.add_parser("member", help="test whether a word lies in the code")
-    _add_code_flags(sub)
+    sub = subs.add_parser("member", parents=[code], help="test whether a word lies in the code")
     sub.add_argument("--word", required=True, help="word symbols")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_member)
+    finish(sub, _cmd_member)
 
-    sub = subs.add_parser("enumerate", help="exact census of code sizes (CSV)")
-    sub.add_argument("--q", type=int, required=True, help="alphabet size (2 = binary)")
-    sub.add_argument("--n", type=int, required=True, help="code length")
+    sub = subs.add_parser("enumerate", parents=[shape], help="exact census of code sizes (CSV)")
     sub.add_argument("--a", type=int, default=None, help="restrict to one checksum residue")
     sub.add_argument("--b", type=int, default=None, help="restrict to one sum residue (q >= 3)")
     sub.add_argument("--limit", type=int, default=None, help="override the enumeration size limit")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_enumerate)
+    finish(sub, _cmd_enumerate)
 
-    sub = subs.add_parser("bounds", help="size and rate bounds for one code shape")
-    sub.add_argument("--q", type=int, required=True, help="alphabet size (2 = binary)")
-    sub.add_argument("--n", type=int, required=True, help="code length")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_bounds)
+    sub = subs.add_parser("bounds", parents=[shape], help="size and rate bounds for one code shape")
+    finish(sub, _cmd_bounds)
 
-    sub = subs.add_parser("simulate", help="seeded encode/corrupt/correct/extract trials")
-    _add_code_flags(sub)
+    sub = subs.add_parser(
+        "simulate", parents=[code], help="seeded encode/corrupt/correct/extract trials"
+    )
     sub.add_argument(
         "--channel",
         choices=channel.CHANNEL_KINDS,
@@ -188,21 +180,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--trials", type=int, required=True, help="number of trials (>= 1)")
     sub.add_argument("--seed", type=int, required=True, help="seed of the run's generator")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_simulate)
+    finish(sub, _cmd_simulate)
 
     sub = subs.add_parser("tables", help="dump the canonical message-value tables")
     sub.add_argument("--q", type=int, required=True, help="alphabet size (>= 3)")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_tables)
+    finish(sub, _cmd_tables)
 
     sub = subs.add_parser(
         "validate-positions", help="check that positions can absorb any checksum deficit"
     )
     sub.add_argument("--n", type=int, required=True, help="code length")
     sub.add_argument("--positions", required=True, help="candidate positions, e.g. '1 2 4'")
-    _add_json_flag(sub)
-    sub.set_defaults(handler=_cmd_validate_positions)
+    finish(sub, _cmd_validate_positions)
 
     return parser
 

@@ -88,8 +88,8 @@ def code_signature(word: Iterable[int], q: int) -> tuple[int, int]:
 
 def _signature(w: Sequence[int], q: int) -> tuple[int, int]:
     """code_signature of a checked word of length n >= 2, unchecked: the one
-    spelling of the residue pair, which membership and the encoder's output
-    check compare with (a, b)."""
+    spelling of the residue pair, which membership (_member, also the
+    encoder's output check) compares with (a, b)."""
     n = len(w)
     return _flag_checksum(_ascent_flags(w, q), n - 1) % n, sum(w) % q
 
@@ -156,8 +156,9 @@ def _cached_layout(n: int, q: int) -> _Layout:
 
 def message_length(n: int, q: int) -> int:
     """Message bits carried by the systematic encoder at length n, alphabet q:
-    the bits of every slot (see _Layout) added up. May be 0 for the smallest
-    shapes, e.g. (n=6, q=3).
+    the bits of every slot (see _Layout) added up. Every shape that constructs
+    also encodes; k = 0 only at (n=6, q=3), whose codes carry only the empty
+    message and refuse any other with MessageLengthError.
     """
     return _layout(n, q).k
 
@@ -254,7 +255,7 @@ class QaryVtParams(CodeParams):
 
     @cached_property
     def k(self) -> int:
-        """Message bits per codeword (0 for the smallest shapes)."""
+        """Message bits per codeword (0 at n=6, q=3)."""
         return self._layout.k
 
     @cached_property
@@ -266,10 +267,6 @@ class QaryVtParams(CodeParams):
     def free_positions(self) -> Word:
         """Positions that carry plain base-q message symbols."""
         return tuple(chain.from_iterable(map(range(self.n).__getitem__, self._layout.free_runs)))
-
-    @cached_property
-    def _unsupported(self) -> str | None:
-        return None if self.k else f"(n={self.n}, q={self.q}) carries no message bits"
 
     def _member(self, w: Sequence[int]) -> bool:
         return _signature(w, self.q) == (self.a, self.b)
@@ -373,12 +370,6 @@ def _edited_checksum(
     return checksum % (m - 1)
 
 
-def _matches_code(w: Sequence[int], n: int, q: int, a: int, b: int) -> bool:
-    """The encoder's output check: an already validated word of length n has
-    residues (a, b)."""
-    return _signature(w, q) == (a, b)
-
-
 def is_member(word: Iterable[int], params: QaryVtParams) -> bool:
     """True when the word hits both target residues of the code."""
     return check_params(params, QaryVtParams).is_member(word)
@@ -475,7 +466,7 @@ def _complete_codeword(c: bytearray | list, params: QaryVtParams) -> bytes | Wor
         triple = _step6_triple((b - sum(c)) % q, q)  # positions 0..2 are still 0
         c[0], c[1], c[2] = _arrange_prefix(triple, deficit & 1, deficit >> 1 & 1)
     word = bytes(c) if q <= 256 else tuple(c)
-    if not _matches_code(word, n, q, a, b):
+    if not params._member(word):
         raise CodecError(f"encoder output misses the code (n={n}, q={q}, a={a}, b={b})")
     return word
 

@@ -47,7 +47,6 @@ from .errors import (
     NoCandidateError,
     NotACodewordError,
     ParameterError,
-    UnsupportedParametersError,
 )
 
 Word = tuple[int, ...]
@@ -405,8 +404,6 @@ class CodeParams:
     _correct runs no membership pass on its output. The cores
     take bytes or a tuple and use only what the two share."""
 
-    _unsupported: str | None = None  # why encode and extract refuse the shape
-
     def encode(self, message: Iterable[int]) -> Word:
         """Systematically encode k message bits into a codeword."""
         return _returned(self._encode(self._message(message)))
@@ -433,8 +430,6 @@ class CodeParams:
 
     def _message(self, message: Iterable[int]) -> bytes:
         bits = _word(message, 2)
-        if self._unsupported:
-            raise UnsupportedParametersError(self._unsupported)
         if len(bits) != self.k:
             raise MessageLengthError(
                 f"expected {self.k} message bits for ({self._shape()}), got {len(bits)}"
@@ -448,8 +443,6 @@ class CodeParams:
 
     def _extract(self, word: Word) -> Word:
         self._sized(word)
-        if self._unsupported:
-            raise UnsupportedParametersError(self._unsupported)
         return self._read(self._correct(word))  # a word of length n comes back only if a member
 
     def _correct(self, r: Word) -> Word:

@@ -15,7 +15,7 @@ from vtcodes.channel import (
     apply_channel,
     run_trials,
 )
-from vtcodes.errors import ParameterError, UnsupportedParametersError, VtCodeError
+from vtcodes.errors import ParameterError, VtCodeError
 from vtcodes.qary import QaryVtParams
 
 REF_WORD = (7, 2, 0, 7, 7, 3, 6, 3, 2, 5, 1, 0, 7, 2, 5, 0)
@@ -148,6 +148,7 @@ TRIAL_CODES = [
     BinaryVtParams(1, 1),
     QaryVtParams(16, 4, 0, 1),
     QaryVtParams(12, 3, 2, 1),
+    QaryVtParams(6, 3, 1, 2),  # q-ary k = 0
 ]
 
 
@@ -241,12 +242,6 @@ def test_run_trials_argument_validation():
         run_trials(p, "mixed", trials=10, seed=-1)
     with pytest.raises(ParameterError):
         run_trials("binary", "mixed", trials=10, seed=0)
-
-
-def test_run_trials_rejects_zero_capacity_codes():
-    p = QaryVtParams(n=6, q=3, a=0, b=0)
-    with pytest.raises(UnsupportedParametersError):
-        run_trials(p, "mixed", trials=10, seed=0)
 
 
 def test_report_to_dict_shape():

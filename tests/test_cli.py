@@ -1,6 +1,7 @@
 """Drive the command-line interface through main(argv) and check text, JSON,
 and exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from vtcodes.analysis import binary_census
-from vtcodes.cli import EXIT_CODEC, EXIT_OK, EXIT_USAGE, main
+from vtcodes.cli import EXIT_CODEC, EXIT_OK, EXIT_USAGE, build_parser, main
 
 REF_ARGS = ["--q", "8", "--n", "16", "--a", "0", "--b", "1"]
 REF_WORD_TEXT = "7 2 0 7 7 3 6 3 2 5 1 0 7 2 5 0"
@@ -202,9 +203,9 @@ def test_usage_errors_exit_1(capsys):
         ["encode", "--q", "2", "--n", "7", "--a", "0", "--message", "00"],
         # enumeration limit
         ["enumerate", "--q", "2", "--n", "25"],
-        # no message bits to simulate
-        ["simulate", "--q", "3", "--n", "6", "--a", "0", "--b", "0",
-         "--trials", "5", "--seed", "0"],
+        # a message for a code that carries none
+        ["encode", "--q", "3", "--n", "6", "--a", "0", "--b", "0",
+         "--message", "1"],
         # word symbols out of the alphabet
         ["member", "--q", "2", "--n", "7", "--a", "0", "--word", "0 1 2 0 0 0 0"],
     ]
@@ -232,11 +233,61 @@ def test_codec_errors_exit_2(capsys):
     assert err.startswith("error:")
 
 
+# Each subcommand's options in order, as (flag, required, default, type, choices).
+CODE_FLAGS = [
+    ("--q", True, None, int, None),
+    ("--n", True, None, int, None),
+    ("--a", True, None, int, None),
+    ("--b", False, None, int, None),
+]
+JSON_FLAG = ("--json", False, False, None, None)
+FLAGS = {
+    "encode": [*CODE_FLAGS, ("--message", True, None, None, None), JSON_FLAG],
+    "extract": [*CODE_FLAGS, ("--word", True, None, None, None), JSON_FLAG],
+    "correct": [*CODE_FLAGS, ("--word", True, None, None, None), JSON_FLAG],
+    "member": [*CODE_FLAGS, ("--word", True, None, None, None), JSON_FLAG],
+    "enumerate": [
+        ("--q", True, None, int, None),
+        ("--n", True, None, int, None),
+        ("--a", False, None, int, None),
+        ("--b", False, None, int, None),
+        ("--limit", False, None, int, None),
+        JSON_FLAG,
+    ],
+    "bounds": [("--q", True, None, int, None), ("--n", True, None, int, None), JSON_FLAG],
+    "simulate": [
+        *CODE_FLAGS,
+        ("--channel", False, "mixed", None, ("deletion", "insertion", "mixed", "identity")),
+        ("--trials", True, None, int, None),
+        ("--seed", True, None, int, None),
+        JSON_FLAG,
+    ],
+    "tables": [("--q", True, None, int, None), JSON_FLAG],
+    "validate-positions": [
+        ("--n", True, None, int, None),
+        ("--positions", True, None, None, None),
+        JSON_FLAG,
+    ],
+}
+
+
 def test_help_exits_0(capsys):
-    assert main(["--help"]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["encode", "--help"]) == EXIT_OK
-    capsys.readouterr()
+    for argv in (["--help"], *([name, "--help"] for name in FLAGS)):
+        assert main(argv) == EXIT_OK, argv
+        assert capsys.readouterr().out.startswith("usage: vtcodes"), argv
+
+
+def test_subcommand_flags_match_the_contract():
+    parser = build_parser()
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(FLAGS)
+    for name, sub in subs.choices.items():
+        found = [
+            (*a.option_strings, a.required, a.default, a.type, a.choices)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert found == FLAGS[name], name
 
 
 def test_received_word_far_from_code_length_exits_1(capsys):

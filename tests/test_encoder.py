@@ -71,7 +71,7 @@ def test_extract_matches_the_oracle_on_every_codeword(n, q):
     for a, b in [(0, 0), (3, 2), (n - 1, q - 1)]:
         p = QaryVtParams(n, q, a, b)
         for word in itertools.product(range(q), repeat=n):
-            if qary._matches_code(word, n, q, a, b):
+            if code_signature(word, q) == (a, b):
                 assert outcome(extract, word, p) == outcome(oracle.extract_q, word, p), word
 
 
@@ -243,4 +243,4 @@ def test_checksum_kernels_match_the_oracle(case):
     assert code_signature(word, q) == (syn, total)
     assert binary._checksum(ascents, n) == syn
     for a, b in [(0, 0), (syn, total), ((syn + 1) % n, total), (syn, (total + 1) % q)]:
-        assert qary._matches_code(word, n, q, a, b) == oracle._matches_code(word, n, q, a, b)
+        assert (code_signature(word, q) == (a, b)) == oracle._matches_code(word, n, q, a, b)

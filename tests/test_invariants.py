@@ -71,7 +71,7 @@ def test_qary_params_reject_non_integers(bad):
 
 def test_encoder_output_check_raises_codec_error(monkeypatch):
     p = QaryVtParams(16, 8, 0, 1)
-    monkeypatch.setattr(qary, "_matches_code", lambda *args: False)
+    monkeypatch.setattr(QaryVtParams, "_member", lambda self, word: False)
     with pytest.raises(CodecError):
         qary.encode((0,) * p.k, p)
 

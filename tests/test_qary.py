@@ -15,7 +15,6 @@ from vtcodes.errors import (
     NotACodewordError,
     ParameterError,
     UnsupportedLengthError,
-    UnsupportedParametersError,
 )
 from vtcodes.qary import (
     PairTable,
@@ -152,9 +151,20 @@ def test_params_validation_and_layout():
 
 
 def test_params_allow_zero_capacity_shapes():
-    # (n=6, q=3) has k=0; membership and correction still work there
-    p = QaryVtParams(n=6, q=3, a=0, b=0)
-    assert p.k == 0
+    # (n=6, q=3) has k=0: each code carries the empty message, and its one
+    # codeword survives any single deletion or insertion
+    for a in range(6):
+        for b in range(3):
+            p = QaryVtParams(n=6, q=3, a=a, b=b)
+            assert p.k == 0
+            word = encode((), p)
+            assert is_member(word, p)
+            assert extract(word, p) == ()
+            for i in range(6):
+                assert correct(word[:i] + word[i + 1 :], p) == word
+            for i in range(7):
+                for s in range(3):
+                    assert correct(word[:i] + (s,) + word[i:], p) == word
 
 
 def test_pair_table_contents():
@@ -282,8 +292,8 @@ def test_encode_errors():
     p = QaryVtParams(n=8, q=4, a=0, b=0)
     with pytest.raises(MessageLengthError):
         encode(bits("0000"), p)
-    with pytest.raises(UnsupportedParametersError):
-        encode((), QaryVtParams(n=6, q=3, a=0, b=0))
+    with pytest.raises(MessageLengthError):  # k = 0 takes only the empty message
+        encode((0,), QaryVtParams(n=6, q=3, a=0, b=0))
 
 
 def test_encoder_suite_exhaustive_small_shapes():
@@ -324,7 +334,7 @@ def test_extract_errors():
         extract(codeword, QaryVtParams(n=8, q=4, a=1, b=0))
     with pytest.raises(ParameterError):
         extract(codeword[:-1], p)
-    with pytest.raises(UnsupportedParametersError):
+    with pytest.raises(NotACodewordError):
         extract((0, 1, 2, 2, 2, 2), QaryVtParams(n=6, q=3, a=0, b=0))
 
 
