@@ -10,14 +10,16 @@ lanes, lane b*n + a counting the words with symbol sum b and auxiliary checksum
 a in (q**n).bit_length() + 1 bits. No count passes q**n and every difference
 taken is non-negative lane by lane, so no lane carries or borrows; a step is
 O(q) big-int operations. binary_codewords lists one residue by meet in the
-middle, O(2^ceil(n/2) + output) work. The limits (binary length <=
-BINARY_LENGTH_LIMIT, q-ary word count <= QARY_WORD_LIMIT by default) are kept
-as the API contract. The constructive lower bound is the product of the
-encoder's message slot sizes (qary._layout), which also gives the encoder's
-rate. Bounds use exact integer or rational arithmetic where possible; a float
-bound past the float range is refused with ParameterError, and census rows
-report it as None (an empty CSV cell, JSON null). rounded() rounds report
-floats to 6 decimal places; README's Enumeration limits gives measured costs.
+middle; its two half tables depend on n alone, so they are built once per
+length and cached like the censuses, and every later listing at that length
+is O(output) work. The limits (binary length <= BINARY_LENGTH_LIMIT, q-ary
+word count <= QARY_WORD_LIMIT by default) are kept as the API contract. The
+constructive lower bound is the product of the encoder's message slot sizes
+(qary._layout), which also gives the encoder's rate. Bounds use exact integer
+or rational arithmetic where possible; a float bound past the float range is
+refused with ParameterError, and census rows report it as None (an empty CSV
+cell, JSON null). rounded() rounds report floats to 6 decimal places; README's
+Enumeration limits gives measured costs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import lru_cache
 from .binary import BinaryVtParams
 from .errors import LimitExceededError, ParameterError
 from .qary import _layout
-from .words import check_int, check_residue
+from .words import Word, check_int, check_residue
 
 BINARY_LENGTH_LIMIT = 20
 QARY_WORD_LIMIT = 1 << 24
@@ -80,10 +82,12 @@ def enumerate_binary(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> int:
     return _binary_census(n)[a]
 
 
-def _binary_halves(n: int) -> list[list[tuple[tuple[int, ...], int]]]:
-    """[low, high]: the words over positions 1..m (m = n // 2) and over
-    m+1..n, each in increasing integer order and paired with its partial
-    checksum. Each position doubles the list: every word gains a 0, then
+@lru_cache(maxsize=None)
+def _binary_halves(n: int) -> tuple[tuple[tuple[Word, ...], ...], tuple[tuple[Word, int], ...]]:
+    """(buckets, high): the words over positions 1..m (m = n // 2), bucket s
+    holding those with partial checksum s mod n + 1, and the words over
+    m+1..n, each paired with its partial checksum. Both are in increasing
+    integer order. Each position doubles a list: every word gains a 0, then
     every word gains a 1 and the position joins its checksum."""
     m = n // 2
     halves = []
@@ -92,25 +96,28 @@ def _binary_halves(n: int) -> list[list[tuple[tuple[int, ...], int]]]:
         for p in range(start, stop):
             words = [w + (0,) for w in words] + [w + (1,) for w in words]
             sums += [s + p for s in sums]
-        halves.append(list(zip(words, sums)))
-    return halves
+        halves.append(zip(words, sums))
+    low, high = halves
+    buckets = [[] for _ in range(n + 1)]
+    for w, s in low:
+        buckets[s % (n + 1)].append(w)
+    return tuple(map(tuple, buckets)), tuple(high)
 
 
 def binary_codewords(n: int, a: int, limit: int = BINARY_LENGTH_LIMIT) -> list[tuple[int, ...]]:
     """Every codeword of the binary code with residue a, in integer order
-    (bit i of the integer is position i + 1).
+    (bit i of the integer is position i + 1), as a new list on every call.
 
     Meet in the middle (Horowitz and Sahni): the low halves are bucketed by
     checksum, and each high half, in order, is joined to the low halves that
-    complete residue a. O(2**ceil(n/2) + output) work, one tuple join per
-    codeword.
+    complete residue a. The halves depend on n alone, so they are built once
+    per length and cached like the censuses: the first listing at a length
+    does O(2**ceil(n/2) + output) work, every later one O(output), one tuple
+    join per codeword. README's Enumeration limits gives measured costs.
     """
     n = _check_binary_length(n, limit)
     a = check_residue(a, "a", n + 1)
-    low, high = _binary_halves(n)
-    buckets = [[] for _ in range(n + 1)]
-    for w, s in low:
-        buckets[s % (n + 1)].append(w)
+    buckets, high = _binary_halves(n)
     return [lo + hi for hi, s in high for lo in buckets[(a - s) % (n + 1)]]
 
 

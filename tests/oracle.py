@@ -59,7 +59,6 @@ from vtcodes.errors import (
     NoCandidateError,
     NotACodewordError,
     ParameterError,
-    UnsupportedParametersError,
 )
 from vtcodes.qary import QaryVtParams, _ilog2, _layout
 from vtcodes.words import (
@@ -456,10 +455,6 @@ def _complete_codeword(c: list, params: QaryVtParams) -> Word:
 def encode_q(message: Iterable[int], params: QaryVtParams) -> Word:
     """Systematically encode k message bits into a codeword."""
     bits = check_bits(message)
-    if params.k == 0:
-        raise UnsupportedParametersError(
-            f"(n={params.n}, q={params.q}) carries no message bits"
-        )
     if len(bits) != params.k:
         raise MessageLengthError(
             f"expected {params.k} message bits for (n={params.n}, q={params.q}), "
@@ -474,8 +469,6 @@ def extract_q(word: Iterable[int], params: QaryVtParams) -> Word:
     n, q = params.n, params.q
     if len(w) != n:
         raise ParameterError(f"expected a word of length {n}, got {len(w)}")
-    if params.k == 0:
-        raise UnsupportedParametersError(f"(n={n}, q={q}) carries no message bits")
     if not _matches_code(w, n, q, params.a, params.b):
         raise NotACodewordError(f"word is not in the code (a={params.a}, b={params.b})")
     pairs, singles = pair_values(q), single_values(q)

@@ -125,6 +125,21 @@ def test_binary_codewords_partition_the_word_space(n):
     assert listed == 1 << n
 
 
+def test_binary_codewords_return_a_new_list_over_cached_halves():
+    first, second = analysis.binary_codewords(12, 5), analysis.binary_codewords(12, 5)
+    assert first == second and first is not second
+    expected = list(first)
+    first.clear()
+    assert analysis.binary_codewords(12, 5) == expected
+
+
+def test_binary_codewords_build_the_halves_once_per_length():
+    analysis._binary_halves.cache_clear()
+    for a in range(14):
+        analysis.binary_codewords(13, a)
+    assert analysis._binary_halves.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("a", [0, 11, 22])
 def test_binary_codewords_count_the_census_past_the_cap(a):
     assert len(analysis.binary_codewords(22, a, limit=22)) == binary_census(22, limit=22)[a]

@@ -47,7 +47,7 @@ def supported(n):
     return n >= 6 and (n - 1) & (n - 2) != 0
 
 
-@pytest.mark.parametrize("n,q", [(8, 4), (7, 3), (10, 5), (10, 8), (12, 4), (11, 3), (6, 4)])
+@pytest.mark.parametrize("n,q", [(8, 4), (7, 3), (10, 5), (10, 8), (12, 4), (11, 3), (6, 4), (6, 3)])
 def test_every_message_matches_the_oracle(n, q):
     for a, b in {(0, 0), (1, q - 1), (n // 2, 1), (n - 1, q // 2)}:
         p = QaryVtParams(n, q, a, b)
@@ -65,7 +65,7 @@ def test_every_message_matches_the_oracle(n, q):
             assert extract(word, p) == oracle.extract_q(word, p) == message
 
 
-@pytest.mark.parametrize("n,q", [(7, 4), (8, 3)])
+@pytest.mark.parametrize("n,q", [(7, 4), (8, 3), (6, 3)])
 def test_extract_matches_the_oracle_on_every_codeword(n, q):
     # most codewords are not encoder outputs, so the range checks get hit
     for a, b in [(0, 0), (3, 2), (n - 1, q - 1)]:
