@@ -27,12 +27,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from .binary import BinaryVtParams
+from .binary import BinaryVtParams, _power_length
 from .errors import LimitExceededError, ParameterError
 from .qary import _layout
 from .words import Word, check_int, check_residue
@@ -198,6 +199,8 @@ def binary_size_bounds(n: int) -> tuple[float, float]:
     """Size window 2^n/(n+1) -/+ 2^((n+1)/3) that every binary code of
     length n falls in."""
     n = check_int(n, "n", 1)
+    if n - (n + 1).bit_length() >= sys.float_info.max_exp:  # 2**n / (n + 1) > 2**1024, unbuilt
+        raise ParameterError(f"size bounds at (n={n}, q=2) exceed the float range")
     center = float_bound(Fraction(1 << n, n + 1), n, 2)
     slack = 2.0 ** ((n + 1) / 3)
     return (center - slack, center + slack)
@@ -216,11 +219,14 @@ def binary_size_within_bounds(n: int, count: int) -> bool:
     """Exact-arithmetic check that a count lies in the binary size window.
 
     Cubing |2^n/(n+1) - count| <= 2^((n+1)/3) removes the irrational slack:
-    the comparison becomes |..|^3 <= 2^(n+1) over rationals.
+    with m = n + 1 and gap = |2^n - m * count|, the comparison becomes
+    gap^3 <= m^3 * 2^m over integers, answered from bit lengths alone when
+    gap's cube is too long. n is refused past binary._POWER_LENGTH_LIMIT.
     """
-    n, count = check_int(n, "n", 1), check_int(count, "count")
-    gap = Fraction(1 << n, n + 1) - count
-    return abs(gap) ** 3 <= (1 << (n + 1))
+    n, count = _power_length(n), check_int(count, "count")
+    m = n + 1
+    gap, window = abs((1 << n) - m * count), m**3 << m
+    return 3 * (gap.bit_length() - 1) < window.bit_length() and gap**3 <= window
 
 
 @dataclass(frozen=True)
@@ -367,11 +373,18 @@ def _cell(value) -> str:
 
 
 def census_csv(rows: list[CodeCensus]) -> str:
-    """Render census rows as CSV with the fixed column order CSV_COLUMNS."""
+    """Render census rows as CSV with the fixed column order CSV_COLUMNS;
+    anything but an iterable of CodeCensus is refused with ParameterError."""
+    try:
+        rows = iter(rows)
+    except TypeError:
+        raise ParameterError(f"census rows must be iterable, got {type(rows).__name__}") from None
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
+    for i, r in enumerate(rows):
+        if not isinstance(r, CodeCensus):
+            raise ParameterError(f"census row {i} is not a CodeCensus: got {type(r).__name__}")
         writer.writerow(
             [_cell(v) for v in (r.q, r.n, r.a, r.b, r.count, r.size_lower, r.size_upper)]
         )

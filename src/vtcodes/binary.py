@@ -30,6 +30,18 @@ from .words import (
 )
 
 
+# Calls that build an (n + 1)-bit int refuse longer lengths (README's Errors).
+_POWER_LENGTH_LIMIT = 1 << 20
+
+
+def _power_length(n: int) -> int:
+    """n checked as a length of 1.._POWER_LENGTH_LIMIT, before 2**n is built."""
+    n = check_int(n, "n", 1)
+    if n > _POWER_LENGTH_LIMIT:
+        raise ParameterError(f"n exceeds the length limit {_POWER_LENGTH_LIMIT} of calls that build 2**n")
+    return n
+
+
 def _checksum(bits: Sequence[int], modulus: int) -> int:
     """sum(i * s_i) mod modulus over 0/1 bits, by the lane kernel in words."""
     return _flag_checksum(int.from_bytes(bits, "little"), len(bits)) % modulus
@@ -195,9 +207,10 @@ def validate_syndrome_positions(n: int, positions: Iterable[int]) -> bool:
 
     Returns True when every residue mod (n + 1) is a subset sum of the given
     positions. Positions must be distinct and lie in 1..n; the dyadic layout
-    used by encode() always qualifies.
+    used by encode() always qualifies. Fewer than log2(n + 1) positions have
+    too few subsets, so they fail without the (n + 1)-bit table of residues.
     """
-    n = check_int(n, "n", 1)
+    n = _power_length(n)
     pos = check_word(positions)
     if not pos:
         raise ParameterError("at least one position is required")
@@ -206,6 +219,8 @@ def validate_syndrome_positions(n: int, positions: Iterable[int]) -> bool:
     for p in pos:
         if not 1 <= p <= n:
             raise ParameterError(f"position {p} out of range 1..{n}")
+    if len(pos) < n.bit_length():  # 2**len(pos) < n + 1 subset sums
+        return False
     m = n + 1
     full = (1 << m) - 1
     reachable = 1  # residue 0 via the empty subset

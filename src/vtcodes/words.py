@@ -13,16 +13,19 @@ fits in a byte, one bytearray().translate() range pass for alphabets below
 256 symbols. The codecs hand unchecked cores the bytes that pass builds
 (_word), or a tuple for alphabets past 256 symbols; the cores use only what
 bytes and tuples share, and the public calls turn a core's word into a
-tuple once, through _returned. That tuple is kept, one reference, as the last
-word a public codec call returned, and the check skips the type pass for that
-very object (identity, never equality), since the library built it from plain
-ints; the range pass still runs against the new call's alphabet. So a chain
-encode -> apply_channel -> correct -> extract pays the type pass once, for
-the message. Between threads a stale reference costs one full pass, never a
-wrong answer. CodeParams, the base of both params classes, holds that codec
-flow once, rebuilding a corrected word with _apply, the edit primitive the
-channel uses too, and check_params keeps each family's module functions to
-that family's params. The block conversions take only values the codecs made
+tuple once, through _returned, which keeps one record (word, code, core) of
+the last word a public codec call returned: the tuple, the params object it
+is a member of (set by encode and correct only) and its immutable core word.
+The check skips the type pass for that very tuple, whose ints the library
+built, though the range pass still runs; code's own correct and extract take
+it unchecked, since tuples are immutable. Both fields match by identity,
+never equality. So a chain encode -> apply_channel -> correct -> extract
+pays the type pass once, for the message, and membership once, in the
+encoder. One assignment replaces the record whole, so a call from another
+thread costs one full check, never a wrong answer. CodeParams, the base of
+both params classes, holds that codec flow once, rebuilding a corrected word
+with _apply, the edit primitive the channel uses too, and check_params keeps
+each family's module functions to that family's params. The block conversions take only values the codecs made
 or already checked, so they check nothing. The q-ary free block converts
 from and to '0'/'1' bit text: for q = 2**b <= 256 its digits are the text's
 b-bit groups, moved as bit planes by C passes; other alphabets go through an
@@ -86,19 +89,27 @@ def check_residue(value, name: str, modulus: int) -> int:
 
 _BYTE_VALUES = bytes(range(256))
 
-# The last word a public codec call returned (see _returned), which _checked
-# takes without a type pass. One reference: it keeps that word alive, so no
-# other object can share its identity.
-_last: Word | None = None
+# The record (word, code, core) of the last word a public codec call
+# returned (see _returned). It keeps that word alive, so no other object can
+# share its identity.
+_last: tuple = (None, None, None)
 
 
-def _returned(word: Iterable[int]) -> Word:
-    """word as a plain tuple, kept as the last word a public codec call
-    returned. The library builds such words only from core bytes, from
-    tuples _checked already made plain, and from symbols check_int returned,
-    so they hold plain ints."""
+def _returned(core: Iterable[int], code: CodeParams | None = None) -> Word:
+    """core as a plain tuple, recorded as the last word a public codec call
+    returned. The record (word, code, core) vouches that word holds plain
+    ints, built from core bytes, tuples _checked made plain or symbols
+    check_int returned, and, when code is given, that it is a member of
+    code: only encode (exact dyadic bits, or the q-ary CodecError guard) and
+    correct (_correct returns only members) pass one, with an immutable
+    core. Both fields match by identity, never equality, and a returned
+    object that is the recorded word keeps its record. One assignment
+    replaces it whole: another thread's call costs one full check, never a
+    wrong answer."""
     global _last
-    _last = out = tuple(word)
+    out = tuple(core)
+    if code is not None or out is not _last[0]:
+        _last = (out, code, core)
     return out
 
 
@@ -109,8 +120,9 @@ def _checked(word: Iterable[int], q: int | None) -> tuple[Sequence[int], bytes |
     numpy integers convert through operator.index; bool, float and str
     symbols, and a word that is not iterable, are refused), or the bytes or
     bytearray given, which holds no bool and so skips that type pass, as
-    does the very tuple a public codec call returned last (_returned; an
-    equal tuple, a copy or a list still takes the pass). buffer
+    does the tuple of the last returned word's record, whose ints are plain
+    (_returned; matched by identity: an equal tuple, a copy, a list, or any
+    word after another thread's call, takes the pass, never a wrong answer). buffer
     holds the same symbols as bytes when every one fits in a byte, and is
     None otherwise.
 
@@ -134,7 +146,7 @@ def _checked(word: Iterable[int], q: int | None) -> tuple[Sequence[int], bytes |
         except TypeError:
             raise ParameterError(f"expected a sequence of ints, got {word!r}") from None
         out = tuple(word)
-        if out is not _last and set(map(type, out)) != {int}:
+        if out is not _last[0] and set(map(type, out)) != {int}:
             out = tuple(map(_as_int, out))
         try:
             buf = bytearray(out)
@@ -402,19 +414,29 @@ class CodeParams:
     Levenshtein's binary rule always lands in the code; the q-ary _restore
     checks the one residue its rule leaves open from the received word's, so
     _correct runs no membership pass on its output. The cores
-    take bytes or a tuple and use only what the two share."""
+    take bytes or a tuple and use only what the two share. correct and
+    extract take the word that this very object's encode or correct returned
+    last (_returned's record vouches it is a member; identity on word and
+    code) unchecked; after another thread's call, one full check, never a
+    wrong answer."""
 
     def encode(self, message: Iterable[int]) -> Word:
         """Systematically encode k message bits into a codeword."""
-        return _returned(self._encode(self._message(message)))
+        return _returned(self._encode(self._message(message)), self)
 
     def extract(self, word: Iterable[int]) -> Word:
         """Read the message bits back out of a codeword produced by encode()."""
+        last, code, core = _last
+        if word is last and code is self:
+            return _returned(self._read(core))
         return _returned(self._extract(_word(word, self.q)))
 
     def correct(self, received: Iterable[int]) -> Word:
         """Recover the codeword from a word that suffered at most one edit."""
-        return _returned(self._correct(_word(received, self.q)))
+        last, code, _ = _last
+        if received is last and code is self:
+            return received
+        return _returned(self._correct(_word(received, self.q)), self)
 
     def is_member(self, word: Iterable[int]) -> bool:
         """True when a word of the code's length is in the code."""

@@ -26,6 +26,7 @@ from vtcodes.analysis import (
     rate_bounds,
     single_deletion_size_bound,
 )
+from vtcodes.binary import validate_syndrome_positions
 from vtcodes.errors import (
     LimitExceededError,
     ParameterError,
@@ -228,6 +229,35 @@ def test_binary_size_within_bounds_is_exact():
         assert binary_size_within_bounds(n, center)
         assert not binary_size_within_bounds(n, math.floor(lo) - 2)
         assert not binary_size_within_bounds(n, math.ceil(hi) + 2)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (binary_size_bounds, (10**30,)),
+        (binary_size_bounds, (2**40,)),
+        (binary_size_within_bounds, (10**30, 5)),
+        (binary_size_within_bounds, (2**20 + 1, 5)),
+        (validate_syndrome_positions, (10**30, [1, 2, 4])),
+        (validate_syndrome_positions, (2**20 + 1, [1 << j for j in range(21)])),
+    ],
+)
+def test_huge_lengths_are_refused_before_the_power_is_built(call, args):
+    start = time.perf_counter()
+    with pytest.raises(ParameterError):
+        call(*args)
+    assert time.perf_counter() - start < 1
+
+
+def test_lengths_up_to_the_limit_still_answer():
+    n = 2**20
+    center, slack = (1 << n) // (n + 1), 1 << (n + 1) // 3
+    assert binary_size_within_bounds(n, center)
+    assert binary_size_within_bounds(n, center + slack - 1)
+    assert not binary_size_within_bounds(n, center + 2 * slack)
+    assert not binary_size_within_bounds(n, 5)
+    assert validate_syndrome_positions(n, [1 << j for j in range(21)])
+    assert not validate_syndrome_positions(n, [1 << j for j in range(20)])  # too few subsets
 
 
 # ------------------------------------------------------------------- rates

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from vtcodes import analysis
 from vtcodes.analysis import (
+    CSV_COLUMNS,
     binary_census,
     binary_rates,
     binary_size_bounds,
@@ -229,6 +230,21 @@ def test_census_rows_report_bounds_past_the_float_range_as_none(n, q):
     last = census_csv(rows).splitlines()[-1]
     assert last.endswith(f",{'' if lower is None else lower},")
     assert rows_report(rows)["bounds"] == {"size_lower": lower, "size_upper": None}
+
+
+def test_census_csv_refuses_anything_but_census_rows():
+    good = census_rows(5)
+    for rows, bad in [
+        ("x", "row 0 is not a CodeCensus: got str"),
+        ([1], "row 0 is not a CodeCensus: got int"),
+        ([*good[:2], (2, 5, 2, None, 6, 0.0, 1.0)], "row 2 is not a CodeCensus: got tuple"),
+        (5, "must be iterable, got int"),
+        (None, "must be iterable, got NoneType"),
+    ]:
+        with pytest.raises(ParameterError, match=bad):
+            census_csv(rows)
+    assert census_csv([]) == ",".join(CSV_COLUMNS) + "\n"
+    assert census_csv(iter(good)) == census_csv(good)
 
 
 def test_census_csv_writes_counts_past_the_int_str_digit_limit():

@@ -1,8 +1,11 @@
 """Both params classes offer the same code interface, and each method is
 the module function of its family. A chained round trip pays the word
 check's type pass once, for the message: only the very tuple a public codec
-call returned last skips it, and never its range pass."""
+call returned last skips it, and never its range pass. It pays membership
+once, in the encoder: the code whose encode or correct returned that very
+tuple takes it in correct and extract without a check."""
 
+import dataclasses
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -176,11 +179,14 @@ def outcome(call, *args):
         return type(exc), str(exc)
 
 
-def outcomes(monkeypatch, last, calls, given):
-    """Each call's outcome on given, with last as the last returned word."""
+NO_RECORD = (None, None, None)
+
+
+def outcomes(monkeypatch, record, calls, given):
+    """Each call's outcome on given, with record as the last returned word's record."""
     found = []
     for call, *rest in calls:
-        monkeypatch.setattr(words, "_last", last)
+        monkeypatch.setattr(words, "_last", record)
         found.append(outcome(call, given, *rest))
     return found
 
@@ -189,7 +195,8 @@ def outcomes(monkeypatch, last, calls, given):
 def test_only_the_returned_tuple_itself_skips_the_type_pass(monkeypatch, q):
     p = chain_codes(q)
     word = p.encode(tuple(i % 2 for i in range(p.k)))
-    assert words._last is word and 1 in word
+    last = words._last
+    assert last[0] is word and last[1] is p and 1 in word
     calls = [
         (p.correct,), (p.extract,), (p.is_member,), (check_word, q), (check_symbols,),
         (apply_channel, ChannelEvent("identity")), (format_symbols,),
@@ -204,11 +211,11 @@ def test_only_the_returned_tuple_itself_skips_the_type_pass(monkeypatch, q):
     for name, copy in copies.items():
         assert tuple(copy) == word and copy is not word
         # the copy must be treated as it was before any word was returned
-        assert outcomes(monkeypatch, word, calls, copy) == outcomes(monkeypatch, None, calls, copy), name
-    refused = outcomes(monkeypatch, word, calls, copies["bool"])
+        assert outcomes(monkeypatch, last, calls, copy) == outcomes(monkeypatch, NO_RECORD, calls, copy), name
+    refused = outcomes(monkeypatch, last, calls, copies["bool"])
     assert all(kind is ParameterError for kind, _ in refused)
-    assert all(kind is ParameterError for kind, _ in outcomes(monkeypatch, word, calls, copies["float"]))
-    accepted = outcomes(monkeypatch, word, calls, copies["numpy"])
+    assert all(kind is ParameterError for kind, _ in outcomes(monkeypatch, last, calls, copies["float"]))
+    accepted = outcomes(monkeypatch, last, calls, copies["numpy"])
     assert all(kind == "returns" for kind, _ in accepted)
     assert accepted[0][1] == word and plain(accepted[0][1])
 
@@ -219,16 +226,91 @@ def test_the_returned_word_still_takes_the_range_pass(monkeypatch, shape):
     n, q = shape
     big = QaryVtParams(n, q, 0, 1)
     word = big.encode(tuple(i % 2 for i in range(big.k)))
+    last = words._last  # word, recorded as a member of big only
     assert max(word) >= 4 and (q < 256 or max(word) > 255)
     small = QaryVtParams(n, 4, 0, 1)
     calls = [
         (small.correct,), (small.extract,), (small.is_member,), (check_word, 4), (check_bits,),
         (BinaryVtParams(n, 0).correct,),
     ]
-    got = outcomes(monkeypatch, word, calls, word)
-    assert got == outcomes(monkeypatch, None, calls, word)
+    got = outcomes(monkeypatch, last, calls, word)
+    assert got == outcomes(monkeypatch, NO_RECORD, calls, word)
     for kind, text in got:
         assert kind is ParameterError and "out of range for alphabet size" in text
+
+
+RECORD_CODES = [BinaryVtParams(64, 5), QaryVtParams(64, 4, 3, 1), QaryVtParams(20, 257, 5, 6)]
+
+
+def counted(monkeypatch, p, name):
+    """The list of words that the method `name` of p's class is called with from now on."""
+    seen, method = [], getattr(type(p), name)
+
+    def wrapper(self, w):
+        seen.append(w)
+        return method(self, w)
+
+    monkeypatch.setattr(type(p), name, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("p", RECORD_CODES, ids=["binary", "q4", "q257"])
+def test_a_returned_codeword_skips_membership_in_the_code_that_made_it(monkeypatch, p):
+    message = tuple(i % 3 % 2 for i in range(p.k))
+    members = counted(monkeypatch, p, "_member")
+    word = p.encode(message)
+    assert words._last[0] is word and words._last[1] is p
+    chains = [
+        lambda w: p.correct(w) is w,
+        lambda w: p.extract(w) == message,
+        lambda w: p.extract(p.correct(w)) == message,
+    ]
+    for chain in chains:
+        word = p.encode(message)
+        members.clear()
+        assert chain(word) and members == []
+    twin = dataclasses.replace(p)
+    assert twin == p and twin is not p
+    for name, expected in (("correct", word), ("extract", message)):
+        for code, given in ((p, lambda w: tuple(list(w))), (p, list), (twin, lambda w: w)):
+            fresh = given(p.encode(message))
+            members.clear()
+            assert getattr(code, name)(fresh) == expected
+            assert len(members) == 1, (name, code is twin, type(fresh))
+    # a word extract returned is recorded as no code's member
+    bits = p.extract(p.encode(message))
+    for call in (p.correct, p.extract):
+        with pytest.raises(ParameterError):
+            call(bits)
+
+
+@pytest.mark.parametrize("p", RECORD_CODES, ids=["binary", "q4", "q257"])
+def test_an_edited_word_runs_the_decoder_and_the_identity_keeps_the_record(monkeypatch, p):
+    message = tuple(i % 2 for i in range(p.k))
+    restores, members = counted(monkeypatch, p, "_restore"), counted(monkeypatch, p, "_member")
+    for event in (ChannelEvent("deletion", 5), ChannelEvent("insertion", 5, p.q - 1)):
+        word = p.encode(message)
+        received = apply_channel(word, event)
+        assert words._last[0] is received and words._last[1] is None
+        restores.clear()
+        assert p.correct(received) == word and len(restores) == 1
+    word = p.encode(message)
+    members.clear()
+    assert apply_channel(word, ChannelEvent("identity")) is word
+    assert words._last[0] is word and words._last[1] is p
+    assert p.correct(word) is word and p.extract(word) == message
+    assert members == []
+
+
+@pytest.mark.parametrize("p", RECORD_CODES, ids=["binary", "q4", "q257"])
+def test_a_word_recorded_under_one_code_is_checked_by_another(p):
+    other = dataclasses.replace(p, a=(p.a + 1) % (p.n + (p.q == 2)))
+    message = tuple(i % 2 for i in range(p.k))
+    for name in ("correct", "extract"):
+        word = p.encode(message)
+        assert words._last[0] is word and not other.is_member(word)
+        with pytest.raises(NotACodewordError):
+            getattr(other, name)(word)
 
 
 def test_threads_chaining_round_trips_get_the_serial_results():
@@ -248,10 +330,14 @@ def test_threads_chaining_round_trips_get_the_serial_results():
             word = p.encode(message)
             fixed = p.correct(apply_channel(word, event))
             out.append((word, fixed, p.extract(fixed)))
+            # a non-member the library has just returned is still refused
+            bad = apply_channel(word[:-1] + ((word[-1] + 1) % p.q,), ChannelEvent("identity"))
+            out.append(tuple(raised(call, bad) for call in (p.correct, p.extract)))
         return out
 
     serial = [chain(p, seed) for seed, p in enumerate(codes)]
-    assert all(fixed == word for run in serial for word, fixed, _ in run)
+    assert all(fixed == word for run in serial for word, fixed, _ in run[::2])
+    assert all(refused == (NotACodewordError,) * 2 for run in serial for refused in run[1::2])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so the calls interleave
     try:
@@ -260,4 +346,4 @@ def test_threads_chaining_round_trips_get_the_serial_results():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert all(plain(w) for run in threaded for trip in run for w in trip)
+    assert all(plain(w) for run in threaded for trip in run[::2] for w in trip)

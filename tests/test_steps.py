@@ -34,9 +34,9 @@ BUDGETS = {
 }
 
 
-# (a, b) per call for q = 3 and 5, with c = 5 and 3 digits per chunk: a + b * n / c
-# lines. At n = 4096 encode reads about 3.5 and extract 2.4 lines per chunk (CPython
-# 3.11); correct and check_word keep the log budgets above.
+# (a, b) per call for q = 3, 5, 17, 200 and 300, with c = 5, 3, 1, 1 and 1 digits per
+# chunk: a + b * n / c lines. At n = 4096 encode reads about 3.5 and extract 2.4 lines
+# per chunk at q = 3 and 5 (CPython 3.11); correct and check_word keep the log budgets above.
 CHUNK_BUDGETS = {
     "encode": (200, 5),
     "extract": (120, 4),
@@ -82,7 +82,7 @@ def test_public_calls_stay_within_log_budgets(n, q):
         assert 0 < count <= a + b * math.log2(n), (name, count)
 
 
-@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("q", [3, 5, 17, 200, 300])  # c = 1 digit per chunk from q = 17 on
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
 def test_other_alphabets_stay_within_chunk_budgets(n, q):
     chunks = n / _chunking(q)[0]
