@@ -129,7 +129,12 @@ def encode(message: Iterable[int], params: BinaryVtParams) -> Word:
 
     Message bits fill the non-dyadic positions in ascending order; the dyadic
     positions then absorb the checksum deficit, bit j of the deficit landing
-    in position 2**j.
+    in position 2**j. Those bits are exact by construction (Abdel-Ghaffar
+    and Ferreira, 1998): each dyadic position holds 0 until its bit is
+    written, its weight 2**j adds exactly that bit's value, and the deficit
+    lies below n + 1 <= 2**t, so the output has checksum a and needs no
+    check. The q-ary encoder states its guarantee as a check instead (see
+    qary._complete_codeword).
     """
     return check_params(params, BinaryVtParams).encode(message)
 

@@ -20,7 +20,10 @@ their per-symbol work in builtins. The encoder builds one word: the free
 digits, each reserved block inserted between them, and a stand-in at each
 reserved 2^j, so that the lane kernel in words (_ascent_flags and
 _flag_checksum, which membership and Tenengolts' decoder use too) reads the
-checksum off the word itself; extraction gathers the free runs as slices.
+checksum off the word itself. Its output check is no membership pass: the
+finished word's flags must equal the placed word's plus the deficit bits,
+one int comparison, and its tracked symbol sum must be b (see
+_complete_codeword). Extraction gathers the free runs as slices.
 All of that is O(n). The free block moves to and from the message's bit text
 through words._text_digits and _digits_text: O(n) C passes for power-of-two
 q; other alphabets divide and conquer, and CPython's big-integer division
@@ -88,8 +91,8 @@ def code_signature(word: Iterable[int], q: int) -> tuple[int, int]:
 
 def _signature(w: Sequence[int], q: int) -> tuple[int, int]:
     """code_signature of a checked word of length n >= 2, unchecked: the one
-    spelling of the residue pair, which membership (_member, also the
-    encoder's output check) compares with (a, b)."""
+    spelling of the residue pair, which membership (_member) compares with
+    (a, b)."""
     n = len(w)
     return _flag_checksum(_ascent_flags(w, q), n - 1) % n, sum(w) % q
 
@@ -425,8 +428,10 @@ def _place_message(bits: Sequence[int], params: QaryVtParams) -> bytearray | lis
     return c
 
 
-def _finish_prefix_q3(c: bytearray | list, alpha1: int, alpha2: int, b: int) -> None:
-    """Choose the first three symbols for alphabet 3 from auxiliary bits 1, 2.
+def _finish_prefix_q3(c: bytearray | list, alpha1: int, alpha2: int, b: int, total: int) -> int:
+    """Choose the first three symbols for alphabet 3 from auxiliary bits 1, 2,
+    given total, the sum of the symbols past them; returns that sum after the
+    writes here.
 
     Over {0,1,2} no three distinct values exist, so the prefix works with
     repeats. When both leading auxiliary bits are 0 no prefix can descend
@@ -438,7 +443,8 @@ def _finish_prefix_q3(c: bytearray | list, alpha1: int, alpha2: int, b: int) -> 
         alpha1 = alpha2 = 1
         c[3] -= 1
         c[4] -= 1
-    w = (b - sum(c)) % 3  # positions 0..2 are still 0
+        total -= 2
+    w = (b - total) % 3
     if alpha1 and alpha2:
         c[1], c[2] = 2, 2
     elif alpha1:
@@ -446,27 +452,56 @@ def _finish_prefix_q3(c: bytearray | list, alpha1: int, alpha2: int, b: int) -> 
     else:
         c[1], c[2] = (0, 0, 1)[w], 2
     c[0] = (w - c[1] - c[2]) % 3
+    return total
 
 
 def _complete_codeword(c: bytearray | list, params: QaryVtParams) -> bytes | Word:
     """Land a placed word on the target residues in place; the codeword
-    comes back as bytes for q <= 256 and as a tuple past that. Its own
-    auxiliary bits give the checksum: bits 1 and 2 wait for the deficit,
-    bit 3 is 1 (a pair's left above positions 0..2, still 0), and each
-    stand-in left - 1 at 2^j (j >= 2) reads 0 until it gains the deficit's
-    bit j. No pair has right = left - 1, so the next bit is the same either
-    way."""
+    comes back as bytes for q <= 256 and as a tuple past that.
+
+    The placed word's auxiliary bits, with the lanes of bits 1 and 2 masked
+    off (placed), give the checksum deficit. The proof that the output is a
+    codeword rests on five facts:
+    1. each stand-in left - 1 at 2^j (j >= 2) reads bit 0 in the placed
+       word, and reads the deficit's bit j once that bit is added to it;
+    2. the bit at 2^j + 1 does not change, because no pair has
+       right = left - 1;
+    3. bit 3 is still 1 after the prefix is written, as position 3 holds
+       q - 1 at q >= 4 (the left of every position-5 single), above every
+       prefix symbol; at q = 3 the lowered prefix of _finish_prefix_q3
+       trades bits 1, 2, 3 from 0, 0, 1 to 1, 1, 0, of equal weight;
+    4. the prefix realises the deficit's bits 0 and 1;
+    5. the prefix adds the sum deficit mod q.
+    Facts 1-4 say the word's flags equal expected: placed plus each deficit
+    bit j at lane 2^j - 1 (bits 0 and 1 at lanes 0 and 1), and +0x101 -
+    0x10000 for the lowered q = 3 prefix. Lane i weighs i + 1, so equal
+    flags give placed's checksum plus the deficit's bits, which are all of
+    it as deficit < n <= 2^t: a (mod n). The bits are added, not ORed: a
+    lane that already reads 1 becomes a 2, which no flags int holds, where
+    an OR would pass a checksum off by 2^j. Fact 5 says the symbol sum,
+    tracked through the prefix writes with positions 0..2 read back from
+    the word, is b (mod q). The encoder checks both, one int comparison for
+    facts 1-4 instead of a second kernel pass, and raises CodecError on a
+    failure, under python -O too.
+    """
     n, q, a, b = params.n, params.q, params.a, params.b
-    deficit = (a - _flag_checksum(_ascent_flags(c, q) & ~0xFFFF, n - 1)) % n
+    placed = _ascent_flags(c, q) & ~0xFFFF
+    deficit = (a - _flag_checksum(placed, n - 1)) % n
+    expected = placed + (deficit & 1) + ((deficit & 2) << 7)
     for j in range(2, params.t):
-        c[1 << j] += deficit >> j & 1
+        bit = deficit >> j & 1
+        c[1 << j] += bit
+        expected += bit << 8 * ((1 << j) - 1)
+    total = sum(c)  # positions 0..2 are still 0
     if q == 3:
-        _finish_prefix_q3(c, deficit & 1, deficit >> 1 & 1, b)
+        if not deficit & 3:
+            expected += 0x101 - 0x10000
+        total = _finish_prefix_q3(c, deficit & 1, deficit >> 1 & 1, b, total)
     else:
-        triple = _step6_triple((b - sum(c)) % q, q)  # positions 0..2 are still 0
+        triple = _step6_triple((b - total) % q, q)
         c[0], c[1], c[2] = _arrange_prefix(triple, deficit & 1, deficit >> 1 & 1)
     word = bytes(c) if q <= 256 else tuple(c)
-    if not params._member(word):
+    if _ascent_flags(word, q) != expected or (total + word[0] + word[1] + word[2]) % q != b:
         raise CodecError(f"encoder output misses the code (n={n}, q={q}, a={a}, b={b})")
     return word
 

@@ -20,13 +20,14 @@ The check skips the type pass for that very tuple, whose ints the library
 built, though the range pass still runs; code's own correct and extract take
 it unchecked, since tuples are immutable. Both fields match by identity,
 never equality. So a chain encode -> apply_channel -> correct -> extract
-pays the type pass once, for the message, and membership once, in the
-encoder. One assignment replaces the record whole, so a call from another
-thread costs one full check, never a wrong answer. CodeParams, the base of
-both params classes, holds that codec flow once, rebuilding a corrected word
-with _apply, the edit primitive the channel uses too, and check_params keeps
-each family's module functions to that family's params. The block conversions take only values the codecs made
-or already checked, so they check nothing. The q-ary free block converts
+pays the type pass once, for the message, and no membership pass: the
+encoder checks only what its rule leaves open. One assignment replaces the
+record whole, so a call from another thread costs one full check, never a
+wrong answer. CodeParams, the base of both params classes, holds that codec
+flow once, rebuilding a corrected word with _apply, the edit primitive the
+channel uses too, and check_params keeps each family's module functions to
+that family's params. The block conversions take only values the codecs
+made or already checked, so they check nothing. The q-ary free block converts
 from and to '0'/'1' bit text: for q = 2**b <= 256 its digits are the text's
 b-bit groups, moved as bit planes by C passes; other alphabets go through an
 int split in about halves by cached powers of q down to leaves a per-base
@@ -100,7 +101,7 @@ def _returned(core: Iterable[int], code: CodeParams | None = None) -> Word:
     returned. The record (word, code, core) vouches that word holds plain
     ints, built from core bytes, tuples _checked made plain or symbols
     check_int returned, and, when code is given, that it is a member of
-    code: only encode (exact dyadic bits, or the q-ary CodecError guard) and
+    code: only encode (exact dyadic bits, or the q-ary output check) and
     correct (_correct returns only members) pass one, with an immutable
     core. Both fields match by identity, never equality, and a returned
     object that is the recorded word keeps its record. One assignment
@@ -122,16 +123,19 @@ def _checked(word: Iterable[int], q: int | None) -> tuple[Sequence[int], bytes |
     bytearray given, which holds no bool and so skips that type pass, as
     does the tuple of the last returned word's record, whose ints are plain
     (_returned; matched by identity: an equal tuple, a copy, a list, or any
-    word after another thread's call, takes the pass, never a wrong answer). buffer
-    holds the same symbols as bytes when every one fits in a byte, and is
-    None otherwise.
+    word after another thread's call, takes the pass, never a wrong
+    answer). buffer holds the same symbols as bytes when every one fits in
+    a byte, and is None otherwise. The type pass counts the symbols whose
+    type is exactly int, which countOf matches by identity without a call;
+    any other type, bool and numpy ints included, sends the word through
+    _as_int.
 
     A word of byte-sized symbols takes one C pass for the range in alphabets
-    below 256 symbols: bytearray() reads the tuple (faster than bytes() does), and
-    translate() deletes the alphabet's byte values (none for q <= 0), leaving
-    the out-of-range symbols in order. A word bytearray() refuses, which
-    holds a symbol outside 0..255, is checked with min/max, so every error
-    names the same first bad symbol either way.
+    below 256 symbols: bytearray() reads the tuple (faster than bytes()
+    does), and translate() deletes the alphabet's byte values (none for
+    q <= 0), leaving the out-of-range symbols in order. A word bytearray()
+    refuses, which holds a symbol outside 0..255, is checked with min/max,
+    so every error names the same first bad symbol either way.
     """
     if type(q) is not int and q is not None:
         q = check_int(q, "alphabet size")
@@ -146,7 +150,7 @@ def _checked(word: Iterable[int], q: int | None) -> tuple[Sequence[int], bytes |
         except TypeError:
             raise ParameterError(f"expected a sequence of ints, got {word!r}") from None
         out = tuple(word)
-        if out is not _last[0] and set(map(type, out)) != {int}:
+        if out is not _last[0] and operator.countOf(map(type, out), int) != len(out):
             out = tuple(map(_as_int, out))
         try:
             buf = bytearray(out)

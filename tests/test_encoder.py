@@ -6,10 +6,12 @@ included. Property tests then draw supported lengths up to 4096 and alphabets
 up to 300, always including the alphabets where the digit conversions change
 how many digits they handle per step (q**c <= 256), and check that encode
 matches the oracle, extract inverts it, every output is a codeword and
-distinct messages give distinct words. Round trips at n = 16384 carry free
-blocks past CPython's 4300-digit limit on int/str conversion in other bases
-than powers of two, and round trips at alphabets up to 2**64 + 1 show that
-the encoder's pair values cost nothing that grows with q.
+distinct messages give distinct words; one more property draws lengths up
+to 16384 and checks each output's residues with code_signature, apart from
+the encoder's own output check. Round trips at n = 16384 carry free blocks
+past CPython's 4300-digit limit on int/str conversion in other bases than
+powers of two, and round trips at alphabets up to 2**64 + 1 show that the
+encoder's pair values cost nothing that grows with q.
 """
 
 import itertools
@@ -124,6 +126,18 @@ def test_encoder_matches_the_oracle(case):
 @given(data=st.data())
 def test_encoder_matches_the_oracle_at_boundary_alphabets(q, data):
     check_shape(data.draw(shapes(st.just(q))))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 17, 129, 257, 300])
+@settings(max_examples=10, deadline=None, database=None)
+@given(n=st.integers(6, 16384).filter(supported), seed=st.integers(0, 2**32 - 1))
+def test_every_encoder_output_is_a_member(q, n, seed):
+    # code_signature recomputes both residues from the word alone, apart
+    # from the encoder's own output check
+    rng = random.Random(seed)
+    p = QaryVtParams(n, q, rng.randrange(n), rng.randrange(q))
+    word = encode(tuple(rng.randrange(2) for _ in range(p.k)), p)
+    assert len(word) == n and code_signature(word, q) == (p.a, p.b)
 
 
 CONVERSION_BASES = (2, 3, 4, 5, 7, 15, 16, 17, 36, 37, 40, 64, 255, 256, 257, 300)

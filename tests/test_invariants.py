@@ -4,6 +4,7 @@ self-checks raise CodecError instead of relying on assert, so they survive
 `python -O`."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -69,11 +70,78 @@ def test_qary_params_reject_non_integers(bad):
             QaryVtParams(*fields)
 
 
+def stand_in_equal_to_its_left(place):
+    def mutant(bits, params):
+        c = place(bits, params)
+        c[8] = c[7]  # the stand-in at 2^3 reads 1 before the deficit is added
+        return c
+
+    return mutant
+
+
+def third_value_off_by_one(triple):
+    def mutant(w, q):
+        x, y, z = triple(w, q)
+        return x, y, (z + 1) % q
+
+    return mutant
+
+
+def prefix_bits_swapped(arrange):
+    return lambda triple, alpha1, alpha2: arrange(triple, alpha2, alpha1)
+
+
+def q3_prefix_swapped(finish):
+    def mutant(c, *args):
+        total = finish(c, *args)
+        c[1], c[2] = c[2], c[1]
+        return total
+
+    return mutant
+
+
+# Each mutant breaks one fact the encoder's output check covers; every mutant
+# runs at every shape, including those whose encoder never reaches its step
+# (the triple and its arrangement serve q >= 4, _finish_prefix_q3 q = 3).
+ENCODER_MUTANTS = {
+    "stand_in": ("_place_message", stand_in_equal_to_its_left),
+    "triple": ("_step6_triple", third_value_off_by_one),
+    "arrange": ("_arrange_prefix", prefix_bits_swapped),
+    "q3_prefix": ("_finish_prefix_q3", q3_prefix_swapped),
+}
+MUTANT_SHAPES = [(16, 8), (64, 4), (12, 3), (20, 3)]
+
+
 def test_encoder_output_check_raises_codec_error(monkeypatch):
-    p = QaryVtParams(16, 8, 0, 1)
-    monkeypatch.setattr(QaryVtParams, "_member", lambda self, word: False)
-    with pytest.raises(CodecError):
-        qary.encode((0,) * p.k, p)
+    for name, (step, mutate) in ENCODER_MUTANTS.items():
+        rng = random.Random(name)
+        raised = 0
+        with monkeypatch.context() as m:
+            m.setattr(qary, step, mutate(getattr(qary, step)))
+            for n, q in MUTANT_SHAPES:
+                for _ in range(200):
+                    p = QaryVtParams(n, q, rng.randrange(n), rng.randrange(q))
+                    try:
+                        word = qary.encode(tuple(rng.randrange(2) for _ in range(p.k)), p)
+                    except CodecError:
+                        raised += 1
+                    else:
+                        assert code_signature(word, q) == (p.a, p.b), (name, n, q, word)
+        assert raised > 0, name
+
+
+def test_encoder_output_check_runs_no_membership_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the encoder recomputed the residues")
+
+    # (20, 3, 3, 1) with this message takes the lowered q = 3 prefix
+    codes = [QaryVtParams(*shape) for shape in ((16, 8, 0, 1), (6, 3, 0, 0), (20, 3, 3, 1), (20, 257, 5, 6))]
+    with monkeypatch.context() as m:
+        m.setattr(QaryVtParams, "_member", refuse)
+        m.setattr(qary, "_signature", refuse)
+        encoded = [qary.encode((1,) * p.k, p) for p in codes]
+    for p, word in zip(codes, encoded):
+        assert code_signature(word, p.q) == (p.a, p.b)
 
 
 # Calls whose every argument is an int, with valid plain-int arguments.

@@ -23,8 +23,8 @@ from steps import line_events
 from vtcodes import BinaryVtParams, QaryVtParams, code_signature, syndrome
 from vtcodes.words import _chunking, check_word
 
-# (a, b) per call; at q = 4 and 8 the counts read about 120 / 80 / 80 / 13 at
-# n = 64 and 220 / 130 / 87 / 13 at n = 16384 (CPython 3.11).
+# (a, b) per call; at q = 4 and 8 the counts read about 125 / 87 / 82 / 13 at
+# n = 64 and 230 / 136 / 90 / 13 at n = 16384 (CPython 3.11).
 BUDGETS = {
     "encode": (90, 25),
     "extract": (60, 12),
