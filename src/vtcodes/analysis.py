@@ -139,10 +139,7 @@ def _qary_census(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     w = (q**n).bit_length() + 1
     block, size = n * w, q * n * w
     full = (1 << size) - 1
-    first, blocks = (1 << w) - 1, 1
-    while blocks < q:  # lane 0 of the first `blocks` blocks, doubling them
-        first, blocks = first | first << blocks * block, 2 * blocks
-    first &= full  # lane 0 of every block
+    first = ((1 << w) - 1) * (full // ((1 << block) - 1))  # lane 0 of every block
     low, ways = 0, [1 << c * block for c in range(q)]
     for i in range(1, n):
         low |= first << (i - 1) * w  # lanes 0 .. i-1 of every block

@@ -26,8 +26,8 @@ one int comparison, and its tracked symbol sum must be b (see
 _complete_codeword). Extraction gathers the free runs as slices.
 All of that is O(n). The free block moves to and from the message's bit text
 through words._text_digits and _digits_text: O(n) C passes for power-of-two
-q; other alphabets divide and conquer, and CPython's big-integer division
-keeps that part growing faster than n.
+q; other alphabets also divide and conquer between an int and chunks of c
+digits, and CPython's big-integer division grows that part faster than n.
 QaryVtParams gives these rules and Tenengolts' decoder (which restores the
 auxiliary sequence by the binary rule) to the shared words.CodeParams.
 """

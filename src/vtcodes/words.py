@@ -28,11 +28,13 @@ flow once, rebuilding a corrected word with _apply, the edit primitive the
 channel uses too, and check_params keeps each family's module functions to
 that family's params. The block conversions take only values the codecs
 made or already checked, so they check nothing. The q-ary free block converts
-from and to '0'/'1' bit text: for q = 2**b <= 256 its digits are the text's
-b-bit groups, moved as bit planes by C passes; other alphabets go through an
-int split in about halves by cached powers of q down to leaves a per-base
-table converts c digits at a time (q**c <= 256). Only base-2 strings occur,
-so CPython's int/str limit never bites.
+from and to '0'/'1' bit text by two C passes over a per-base record of
+translate-table planes: _join packs symbols into bytes, _spread unpacks them.
+For q = 2**b <= 256 a digit packs b bits of the text; other bases up to 256
+pack c digits per chunk byte (q**c <= 256), and an int split in about halves
+by cached powers of q**c moves chunks, or past 256 single digits, to and from
+the text's value. Only base-2 strings occur, so CPython's int/str limit
+never bites.
 One lane kernel on a big int (SIMD within a register), _ascent_flags and
 _flag_checksum, gives the q-ary ascent bits and both families' weighted
 checksums sum(i * s_i) over 0/1 values: O(n), log2(n) / 3 AND/popcount steps.
@@ -40,7 +42,6 @@ checksums sum(i * s_i) over 0/1 values: O(n), log2(n) / 3 AND/popcount steps.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import fields
 from functools import cached_property, lru_cache
@@ -232,42 +233,52 @@ def _text_bits(text: bytes) -> bytes:
 
 
 # Divide and conquer stops at leaves of 64 chunks (about 500 bits), where the
-# table loop's divmods are still cheap next to its per-chunk interpreter cost.
+# leaf loop's divmods are still cheap next to its per-chunk interpreter cost.
 _LEAF_CHUNKS = 64
 
 
 @lru_cache(maxsize=None)
-def _chunking(base: int) -> tuple[int, tuple[Word, ...], dict]:
-    """(c, digits, values) for converting c digits at a time: c >= 1 is the
-    most base-`base` digits whose value fits in a byte, digits[v] holds the c
-    big-endian digits of v and values inverts it. At c = 1 both are empty."""
+def _chunking(base: int) -> tuple[int, tuple[bytes, ...], tuple[bytes, ...], bool]:
+    """(c, joins, spreads, binary): the translate-table planes of base-`base`
+    digits. c >= 1 is the most digits whose value fits in a byte. A byte
+    packs one symbol per plane, most significant first: joins[j] maps a
+    symbol to its weight in the byte, spreads[j] maps a byte to its symbol j.
+    For base = 2**b <= 256 (binary) a digit packs b '0'/'1' text bytes; other
+    bases up to 256 pack c digits into a chunk byte, a digit of base**c.
+    Past 256 there are no planes."""
     c = 1
     while base ** (c + 1) <= 256:
         c += 1
-    digits = tuple(itertools.product(range(base), repeat=c)) if c > 1 else ()
-    return c, digits, {d: v for v, d in enumerate(digits)}
-
-
-@lru_cache(maxsize=None)
-def _bit_planes(base: int) -> tuple[tuple[bytes, bytes], ...]:
-    """For base = 2**b <= 256, one pair of translate tables per bit of a
-    digit, most significant first: '0'/'1' to that bit's weight, and a digit
-    to '0'/'1' by that bit. Empty for every other base."""
+    if base > 256:
+        return c, (), (), False
     b = base.bit_length() - 1
-    if base != 1 << b or base > 256:
-        return ()
-    return tuple(
-        (
-            bytes.maketrans(b"01", bytes((0, 1 << bit))),
-            bytes(48 + (v >> bit & 1) for v in range(256)),
-        )
-        for bit in reversed(range(b))
-    )
+    binary = base == 1 << b
+    radix, count, zero = (2, b, ord("0")) if binary else (base, c, 0)
+    weights = [radix**j for j in reversed(range(count))]
+    symbols = bytes(range(zero, zero + radix))
+    joins = tuple(bytes.maketrans(symbols, bytes(range(0, radix * w, w))) for w in weights)
+    spreads = tuple(bytes(zero + v // w % radix for v in range(256)) for w in weights)
+    return c, joins, spreads, binary
 
 
-@lru_cache(maxsize=64)
-def _power(base: int, exp: int) -> int:
-    return base**exp
+def _join(data: bytes, joins: tuple[bytes, ...], size: int) -> bytes:
+    """size bytes, each the sum of the weights of len(joins) bytes of data."""
+    c, total = len(joins), 0
+    for j, join in enumerate(joins):
+        total += int.from_bytes(data[j::c].translate(join), "big")
+    return total.to_bytes(size, "big")  # no plane sum carries
+
+
+def _spread(data: bytes, spreads: tuple[bytes, ...]) -> bytearray:
+    """len(spreads) bytes per byte of data, the inverse of _join."""
+    c = len(spreads)
+    out = bytearray(len(data) * c)
+    for j, spread in enumerate(spreads):
+        out[j::c] = data.translate(spread)
+    return out
+
+
+_power = lru_cache(maxsize=64)(pow)  # the divide and conquer's divisors, base**exp
 
 
 def _split(width: int, leaf: int) -> int:
@@ -277,66 +288,56 @@ def _split(width: int, leaf: int) -> int:
     return leaf << ((width - 1) // leaf).bit_length() - 1
 
 
-def _value_digits(value: int, base: int, width: int) -> Word:
-    """The width big-endian base-`base` digits of 0 <= value < base**width."""
-    c, table, _ = _chunking(base)
-    if width > c * _LEAF_CHUNKS:
-        low = _split(width, c * _LEAF_CHUNKS)
+def _value_digits(value: int, base: int, width: int) -> list[int]:
+    """The width big-endian base-`base` digits of 0 <= value < base**width;
+    the codecs pass chunk bases, base**c."""
+    if width > _LEAF_CHUNKS:
+        low = _split(width, _LEAF_CHUNKS)
         high, value = divmod(value, _power(base, low))
         return _value_digits(high, base, width - low) + _value_digits(value, base, low)
-    chunk, chunks = base**c, []
-    for _ in range(-(-width // c)):
-        value, d = divmod(value, chunk)
-        chunks.append(d)
-    chunks.reverse()
-    if c > 1:
-        chunks = itertools.chain.from_iterable(map(table.__getitem__, chunks))
-    out = tuple(chunks)
-    return out[len(out) - width :]
+    digits = [0] * width
+    for i in reversed(range(width)):
+        value, digits[i] = divmod(value, base)
+    return digits
 
 
 def _digits_value(digits: Sequence[int], base: int) -> int:
     """The value of big-endian base-`base` digits, the inverse of _value_digits."""
-    width = len(digits)
-    c, _, values = _chunking(base)
-    if width > c * _LEAF_CHUNKS:
-        low = _split(width, c * _LEAF_CHUNKS)
+    if len(digits) > _LEAF_CHUNKS:
+        low = _split(len(digits), _LEAF_CHUNKS)
         high = _digits_value(digits[:-low], base)
         return high * _power(base, low) + _digits_value(digits[-low:], base)
-    if c > 1:  # whole chunks, padded with leading zeros
-        padded = (0,) * (-width % c) + tuple(digits)
-        digits = map(values.__getitem__, zip(*[iter(padded)] * c))
-    chunk, value = base**c, 0
+    value = 0
     for d in digits:
-        value = value * chunk + d
+        value = value * base + d
     return value
 
 
-def _text_digits(text: bytes, base: int, width: int) -> bytes | Word:
+def _text_digits(text: bytes, base: int, width: int) -> bytes | bytearray | Word:
     """The width big-endian base-`base` digits of the value in '0'/'1' text:
-    bytes for base = 2**b <= 256, whose text holds b * width bits (plane j
-    is text[j::b]), and a tuple for other bases."""
-    planes = _bit_planes(base)
-    if not planes:
-        return _value_digits(int(text or b"0", 2), base, width)
-    b, total = len(planes), 0
-    for j, (weight, _) in enumerate(planes):
-        total += int.from_bytes(text[j::b].translate(weight), "big")
-    return total.to_bytes(width, "big")  # no plane sum carries
+    bytes-like up to base 256, a tuple past it. For base = 2**b the text holds
+    b * width bits and joins into the digits; other bases spread the chunks
+    of its value."""
+    c, joins, spreads, binary = _chunking(base)
+    if binary:
+        return _join(text, joins, width)
+    chunks = _value_digits(int(text or b"0", 2), base**c, -(-width // c))
+    if not spreads:  # base > 256, c = 1
+        return tuple(chunks)
+    return _spread(bytes(chunks), spreads)[-width % c :]  # less the leading zeros
 
 
-def _digits_text(digits: Iterable[int], base: int, bits: int) -> bytes | bytearray | None:
+def _digits_text(digits: Sequence[int], base: int, bits: int) -> bytes | bytearray | None:
     """The digits' value as `bits` '0'/'1' bytes, or None when it needs more:
     the inverse of _text_digits. bits is b * len(digits) for base = 2**b."""
-    planes = _bit_planes(base)
-    if not planes:
-        value = _digits_value(tuple(digits), base)  # the lead 1 below keeps 0 bits empty
-        return None if value >> bits else format(value | 1 << bits, "b")[1:].encode()
-    b, digits = len(planes), bytes(digits)
-    text = bytearray(len(digits) * b)
-    for j, (_, bit) in enumerate(planes):
-        text[j::b] = digits.translate(bit)
-    return text
+    c, joins, spreads, binary = _chunking(base)
+    if binary:
+        return _spread(bytes(digits), spreads)
+    if joins:  # whole chunks, padded with leading zeros
+        digits = bytes(-len(digits) % c) + bytes(digits)
+        digits, base = _join(digits, joins, len(digits) // c), base**c
+    value = _digits_value(digits, base)  # the lead 1 below keeps 0 bits empty
+    return None if value >> bits else format(value | 1 << bits, "b")[1:].encode()
 
 
 class _LaneConstants(dict):

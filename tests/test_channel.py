@@ -232,6 +232,22 @@ def test_trial_loop_matches_the_public_calls(monkeypatch, p, kind, failing):
         assert run_trials(p, kind, 60, seed) == public_trials(p, kind, 60, seed)
 
 
+@pytest.mark.parametrize("p", [BinaryVtParams(16, 5), QaryVtParams(16, 4, 0, 1)])
+def test_run_trials_records_a_codec_error_as_a_failure(monkeypatch, p):
+    # a decoder that finds no undoing edit makes _correct raise NoCandidateError
+    monkeypatch.setattr(type(p), "_restore", lambda self, word: None)
+    for kind in ("deletion", "insertion", "mixed"):
+        report = run_trials(p, kind, 30, seed=2)
+        assert report.successes == 0 and len(report.failure_cases) == 30
+        assert [f.trial for f in report.failure_cases] == list(range(30))
+        for failure in report.failure_cases:
+            assert failure.reason.startswith("NoCandidateError: no codeword within one edit")
+        reasons = [f["reason"] for f in report.to_dict()["failures"]]
+        assert reasons == [f.reason for f in report.failure_cases]
+    identity = run_trials(p, "identity", 30, seed=2)  # a member of length n needs no decoder
+    assert identity.successes == 30 and identity.failure_cases == ()
+
+
 def test_run_trials_argument_validation():
     p = BinaryVtParams(n=7, a=0)
     with pytest.raises(ParameterError):

@@ -32,8 +32,8 @@ from vtcodes.qary import (
     extract,
 )
 
-# Digits per table step: 5 at q = 3, 2 at q = 15 (the top of a byte-sized
-# chunk), 1 from q = 17 on; 4, 16, 64 and 256 take bit planes instead.
+# Digits per chunk byte: 5 at q = 3, 2 at q = 15 (the top of a byte-sized
+# chunk), 1 from q = 17 on; 4, 16, 64 and 256 pack bits of the text instead.
 # 256/257 bracket the largest one-byte symbol.
 BOUNDARY_ALPHABETS = (3, 4, 15, 16, 17, 36, 37, 40, 64, 256, 257)
 
@@ -185,9 +185,13 @@ def test_extract_refuses_free_symbols_past_the_message_range(q):
 
 
 def test_digits_to_int_with_one_digit_per_step():
-    # q = 40 converts one digit per step (40**2 > 256) and needs no table
+    # q = 40 has chunks of one digit (40**2 > 256), so its chunks are its digits
+    assert words._chunking(40)[0] == 1
     assert words._digits_value((39, 0, 1), 40) == 39 * 1600 + 1
-    assert words._value_digits(39 * 1600 + 1, 40, 3) == (39, 0, 1)
+    assert tuple(words._value_digits(39 * 1600 + 1, 40, 3)) == (39, 0, 1)
+    text = format(39 * 1600 + 1, "b").encode()
+    assert tuple(words._text_digits(text, 40, 3)) == (39, 0, 1)
+    assert words._digits_text((39, 0, 1), 40, len(text)) == text
     p = QaryVtParams(20, 40, 3, 7)
     message = tuple(random.Random(40).randrange(2) for _ in range(p.k))
     assert extract(encode(message, p), p) == message

@@ -215,6 +215,8 @@ def test_canonical_pair_bijection_and_errors():
     with pytest.raises(ParameterError):
         pair_table(4).pair_index((0, 2))  # left = 0 is excluded
     with pytest.raises(ParameterError):
+        pair_table(4).single_index(2)  # q - 2 is the one value position 5 never holds
+    with pytest.raises(ParameterError):
         PairTable(2)
 
 

@@ -35,8 +35,9 @@ BUDGETS = {
 
 
 # (a, b) per call for q = 3, 5, 17, 200 and 300, with c = 5, 3, 1, 1 and 1 digits per
-# chunk: a + b * n / c lines. At n = 4096 encode reads about 3.5 and extract 2.4 lines
-# per chunk at q = 3 and 5 (CPython 3.11); correct and check_word keep the log budgets above.
+# chunk: a + b * n / c lines. At n = 4096 encode reads 2.3 to 2.4 and extract 2.2 to 2.3
+# lines per chunk at q = 3 and 5, and both about 2.2 at c = 1 (CPython 3.11); correct and
+# check_word keep the log budgets above.
 CHUNK_BUDGETS = {
     "encode": (200, 5),
     "extract": (120, 4),

@@ -122,7 +122,9 @@ def path_widths(draw, q):
     return draw(st.one_of(st.integers(max(c - 1, 0), 2 * c + 1), *edges, st.integers(0, 16384)))
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 16, 17, 32, 40, 64, 128, 256, 257])
+# c = 3 at q = 6; q = 15 fills the largest two-digit chunk (225 values), and q = 255
+# is the largest one-byte alphabet that is not a power of two
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 8, 15, 16, 17, 32, 40, 64, 128, 255, 256, 257])
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
 def test_digit_round_trip_straddles_the_chunk_size(q, data):
