@@ -369,19 +369,26 @@ def _cell(value) -> str:
     return str(Decimal(value))  # exact, and past the int/str digit limit too
 
 
-def census_csv(rows: list[CodeCensus]) -> str:
-    """Render census rows as CSV with the fixed column order CSV_COLUMNS;
-    anything but an iterable of CodeCensus is refused with ParameterError."""
+def _census_rows(rows: list[CodeCensus]) -> list[CodeCensus]:
+    """rows as a list of CodeCensus, or ParameterError naming the bad row."""
     try:
         rows = iter(rows)
     except TypeError:
         raise ParameterError(f"census rows must be iterable, got {type(rows).__name__}") from None
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    rows = list(rows)
     for i, r in enumerate(rows):
         if not isinstance(r, CodeCensus):
             raise ParameterError(f"census row {i} is not a CodeCensus: got {type(r).__name__}")
+    return rows
+
+
+def census_csv(rows: list[CodeCensus]) -> str:
+    """Render census rows as CSV with the fixed column order CSV_COLUMNS;
+    anything but an iterable of CodeCensus is refused with ParameterError."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in _census_rows(rows):
         writer.writerow(
             [_cell(v) for v in (r.q, r.n, r.a, r.b, r.count, r.size_lower, r.size_upper)]
         )
@@ -390,7 +397,13 @@ def census_csv(rows: list[CodeCensus]) -> str:
 
 def rows_report(rows: list[CodeCensus]) -> dict:
     """JSON-ready report of census rows from one (n, q) shape: parameters,
-    counts, bounds, rates. Bounds and rates describe the whole shape."""
+    counts, bounds, rates. Bounds and rates describe the whole shape. Rows
+    that census_csv refuses, no rows and rows of two shapes are refused with
+    ParameterError."""
+    rows = _census_rows(rows)
+    shapes = sorted({(r.n, r.q) for r in rows})
+    if len(shapes) != 1:
+        raise ParameterError(f"census rows must come from one (n, q) shape, got {shapes}")
     first = rows[0]
     n, q = first.n, first.q
     if q == 2:

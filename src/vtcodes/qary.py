@@ -303,27 +303,37 @@ class QaryVtParams(CodeParams):
         auxiliary checksum a (mod n) and symbol sum b (mod q), as words._apply's
         fields with the leftmost position that gives that word, or None.
 
-        The sum residue names the lost or gained symbol. A symbol edit is a
-        single bit edit of the auxiliary sequence, so Levenshtein's decoder
-        (length n - 1, modulus n) returns the auxiliary edit, at the leftmost
-        index e of its run of bit. With end the next opposite bit (one find()),
-        the symbols r[e .. end] under that run are monotone, non-decreasing
+        The sum residue names the lost or gained symbol. Levenshtein's decoder
+        (length n - 1, modulus n) returns an edit of r's auxiliary bits at the
+        leftmost index edit of its run of bit. With end the next opposite bit
+        (one find()), the symbols r[edit .. end] are monotone, non-decreasing
         under ascents and strictly decreasing under descents, so one bisection
-        places the symbol there. Its word always has sum b, as the symbol put
-        back is (b - sum(r)) mod q and the one taken out must equal
-        (sum(r) - b) mod q, but the symbol need not make the auxiliary edit
-        found, so the edit is returned only when its word's checksum, which
-        _edited_checksum reads off r's flags and checksum, is a. Any r, one
-        edit from a codeword or not, gets an exact answer without a second
-        kernel pass. O(n) in all.
+        places the symbol at j there. Its word is in the code exactly when its
+        auxiliary bits are the located edit's:
+        1. a symbol edit is one bit edit of the auxiliary bits: taking x out
+           between u and v replaces (x >= u, v >= x) by (v >= u), one of them;
+        2. so a word in the code has auxiliary bits in the binary VT code of
+           length n - 1, one bit edit from r's, which by Levenshtein's
+           uniqueness are the located edit's, of checksum a; its sum is b by
+           construction, as the symbol put back is (b - sum(r)) mod q and the
+           one taken out must be (sum(r) - b) mod q;
+        3. inside the run only the bits at the placed symbol can differ from
+           the located edit's; each must read bit, but the opposite bits
+           before edit and at end.
+        A gained r[j] is checked by the bit r[j + 1] >= r[j - 1] its removal
+        leaves, a lost symbol by the bit r[j] >= symbol alone: its other bit,
+        symbol >= r[j - 1], is bit past edit by the bisection, and 1 - bit at
+        edit by fact 1, as r's bit there is 1 - bit and the right one must
+        read bit. Any r gets an exact answer without a second kernel pass.
+        O(n) in all.
         """
         n, q, a, b = self.n, self.q, self.a, self.b
-        deletion = len(r) == n - 1
+        m = len(r)
+        deletion = m == n - 1
         symbol = (b - sum(r)) % q if deletion else (sum(r) - b) % q
         flags = _ascent_flags(r, q)
-        aux = flags.to_bytes(len(r) - 1, "little")
-        checksum = _flag_checksum(flags, len(aux))
-        found = _levenshtein_restore(aux, n - 1, a, checksum)
+        aux = flags.to_bytes(m - 1, "little")
+        found = _levenshtein_restore(aux, n - 1, a, _flag_checksum(flags, m - 1))
         if found is None:
             return None
         _, edit, bit = found
@@ -331,46 +341,20 @@ class QaryVtParams(CodeParams):
             bit = aux[edit]
         end = aux.find(1 - bit, edit)
         if end < 0:
-            end = len(aux)
+            end = m - 1
         if bit:
             j = bisect_left(r, symbol, edit, end + 1)
         else:
             j = bisect_left(r, -symbol, edit, end + 1, key=neg)
         if deletion:
-            undo = "insertion", j, symbol
-        elif j <= end and r[j] == symbol:
-            undo = "deletion", j, None
-        else:
+            if j < m and (r[j] >= symbol) != bit ^ (j > end):
+                return None
+            return "insertion", j, symbol
+        if j > end or r[j] != symbol:
             return None
-        return undo if _edited_checksum(r, aux, checksum, *undo) == a else None
-
-
-def _edited_checksum(
-    r: Sequence[int], aux: bytes, checksum: int, kind: str, j: int, s: int | None
-) -> int:
-    """code_signature(_apply(r, kind, j, s), q)[0], from r's auxiliary bits
-    aux (as bytes) and their checksum: O(1) plus one count().
-    Putting s in at j, or taking r[j] out, moves every auxiliary bit past
-    the edit one weight up or down, which aux.count() adds up, and changes
-    at most the bits that compare s, or r[j], with its neighbours: the bit
-    at weight j (the left neighbour) and the one at weight j + 1 (the right
-    one). Deleting r[j] joins r[j - 1] and r[j + 1] at weight j."""
-    m = len(r)
-    if kind == "insertion":
-        checksum += aux.count(1, j)
-        if j:  # s against r[j - 1], in place of r[j] against it
-            checksum += j * ((s >= r[j - 1]) - (j < m and aux[j - 1]))
-        if j < m:
-            checksum += (j + 1) * (r[j] >= s)
-        return checksum % (m + 1)
-    checksum -= aux.count(1, j + 1)
-    if j:
-        checksum -= j * aux[j - 1]
-        if j < m - 1:
-            checksum += j * (r[j + 1] >= r[j - 1])
-    if j < m - 1:
-        checksum -= (j + 1) * aux[j]
-    return checksum % (m - 1)
+        if 0 < j < m - 1 and (r[j + 1] >= r[j - 1]) != bit ^ (j in (edit, end)):
+            return None
+        return "deletion", j, None
 
 
 def is_member(word: Iterable[int], params: QaryVtParams) -> bool:
@@ -522,8 +506,9 @@ def correct(received: Iterable[int], params: QaryVtParams) -> Word:
     A received length of n - 1 means a deletion, n + 1 an insertion, and n
     must already be a codeword. Deletions and insertions are located in
     O(n) by Tenengolts' decoder (see QaryVtParams._restore), whose symbol
-    always lands on sum b, so only the result's auxiliary checksum, which
-    follows from the received word's, is checked against a; the answer is
-    unique because the code corrects any single edit.
+    always lands on sum b; its word is in the code exactly when the
+    auxiliary bits next to that symbol read those of the located auxiliary
+    edit, so only they are checked. The answer is unique because the code
+    corrects any single edit.
     """
     return check_params(params, QaryVtParams).correct(received)

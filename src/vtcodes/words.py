@@ -417,8 +417,8 @@ class CodeParams:
     the edit that undoes the channel's, as _apply's fields at the leftmost
     position that gives its word, when that word is in the code, or None.
     Levenshtein's binary rule always lands in the code; the q-ary _restore
-    checks the one residue its rule leaves open from the received word's, so
-    _correct runs no membership pass on its output. The cores
+    checks only the auxiliary bits next to the symbol it places, so _correct
+    runs no membership pass on its output. The cores
     take bytes or a tuple and use only what the two share. correct and
     extract take the word that this very object's encode or correct returned
     last (_returned's record vouches it is a member; identity on word and

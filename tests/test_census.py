@@ -247,6 +247,21 @@ def test_census_csv_refuses_anything_but_census_rows():
     assert census_csv(iter(good)) == census_csv(good)
 
 
+def test_rows_report_refuses_rows_it_cannot_report():
+    good = census_rows(5)
+    for rows, bad in [
+        ([], r"one \(n, q\) shape, got \[\]"),
+        (["x"], "row 0 is not a CodeCensus: got str"),
+        ([*good[:2], None], "row 2 is not a CodeCensus: got NoneType"),
+        (5, "must be iterable, got int"),
+        (good + census_rows(6), r"one \(n, q\) shape, got \[\(5, 2\), \(6, 2\)\]"),
+        (good[:1] + census_rows(6, 3, a=0, b=0), r"got \[\(5, 2\), \(6, 3\)\]"),
+    ]:
+        with pytest.raises(ParameterError, match=bad):
+            rows_report(rows)
+    assert rows_report(iter(good)) == rows_report(good) == census_report(5)
+
+
 def test_census_csv_writes_counts_past_the_int_str_digit_limit():
     limit = sys.get_int_max_str_digits()
     assert 0 < limit <= 4300  # the process keeps a digit limit, which census_csv does not lift

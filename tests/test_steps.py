@@ -23,8 +23,9 @@ from steps import line_events
 from vtcodes import BinaryVtParams, QaryVtParams, code_signature, syndrome
 from vtcodes.words import _chunking, check_word
 
-# (a, b) per call; at q = 4 and 8 the counts read about 125 / 87 / 82 / 13 at
-# n = 64 and 230 / 136 / 90 / 13 at n = 16384 (CPython 3.11).
+# (a, b) per call; at q = 4 and 8 the counts of encode / extract / correct /
+# check_word read about 125 / 88 / 69-78 / 13 at n = 64 and 230 / 137 / 78-84 / 13
+# at n = 16384 (CPython 3.11).
 BUDGETS = {
     "encode": (90, 25),
     "extract": (60, 12),
@@ -35,12 +36,13 @@ BUDGETS = {
 
 
 # (a, b) per call for q = 3, 5, 17, 200 and 300, with c = 5, 3, 1, 1 and 1 digits per
-# chunk: a + b * n / c lines. At n = 4096 encode reads 2.3 to 2.4 and extract 2.2 to 2.3
-# lines per chunk at q = 3 and 5, and both about 2.2 at c = 1 (CPython 3.11); correct and
-# check_word keep the log budgets above.
+# chunk: a + b * n / c lines. Over the grid below, (count - a) / (n / c) is at most 2.14
+# for both (q = 3, n = 4096; CPython 3.11), so b = 3 leaves about 40% headroom and a
+# return to 3.4 encode lines per chunk fails at large n; correct and check_word keep the
+# log budgets above.
 CHUNK_BUDGETS = {
-    "encode": (200, 5),
-    "extract": (120, 4),
+    "encode": (200, 3),
+    "extract": (120, 3),
 }
 
 
